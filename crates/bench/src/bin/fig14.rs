@@ -15,9 +15,10 @@ use oblidb_bench::report::Report;
 use oblidb_bench::setup::{scale, Scale};
 use oblidb_bench::timing::fmt_duration;
 use oblidb_core::exec::{hash_join, sort_merge_join, SortMergeVariant};
-use oblidb_core::planner::{choose_join, JoinAlgo, PlannerConfig};
+use oblidb_core::plan::cost::{choose_join_costed, JoinShape};
+use oblidb_core::planner::JoinAlgo;
 use oblidb_core::table::FlatTable;
-use oblidb_core::{DbConfig, Value};
+use oblidb_core::{CostProfile, DbConfig, Value};
 use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{Host, OmBudget};
 use oblidb_workloads::synthetic;
@@ -75,7 +76,6 @@ fn main() {
             (vec![5_000, 10_000], vec![100, 1_000, 5_000, 10_000, 25_000], vec![500, 7_500])
         }
     };
-    let _ = DbConfig::default();
 
     for &om in &om_rows {
         let mut report = Report::new(
@@ -92,17 +92,17 @@ fn main() {
                     .min_by_key(|(_, t)| *t)
                     .unwrap()
                     .0;
-                // What the planner would pick given this budget.
-                let row_len = synthetic::schema(8).row_len();
-                let budget = OmBudget::new(om * row_len);
-                let pick = choose_join(
-                    n1 as u64,
-                    n2 as u64,
-                    row_len,
-                    18 + row_len,
-                    &budget,
-                    &PlannerConfig::default(),
-                );
+                // What the engine's planner picks given this budget.
+                let schema = synthetic::schema(8);
+                let shape = JoinShape {
+                    left_schema: schema.clone(),
+                    left_capacity: n1 as u64,
+                    right_schema: schema.clone(),
+                    right_capacity: n2 as u64,
+                    om_bytes: om * schema.row_len(),
+                    zero_om_scratch_rows: DbConfig::default().zero_om_scratch_rows,
+                };
+                let (pick, _) = choose_join_costed(&shape, &CostProfile::host()).unwrap();
                 report.row(&[
                     n1.to_string(),
                     n2.to_string(),

@@ -1,20 +1,18 @@
-//! Planner calibration: closed-form vs cost-calibrated operator choices
-//! across substrate profiles, recorded for the perf trajectory.
+//! Planner calibration: cost-calibrated operator choices across substrate
+//! profiles, recorded for the perf trajectory.
 //!
 //! For a sweep of query shapes (selectivity × oblivious-memory budget)
-//! the same SELECT is planned twice — once with the closed-form formulas
-//! (paper §5 as originally reproduced) and once with the measured,
-//! `CountingMemory`-driven model — under the host, disk, and cached-disk
-//! [`CostProfile`]s. Emits `BENCH_planner.json`: one row per profile ×
-//! shape with both choices and their counted, profile-weighted costs
-//! (crossings priced per substrate; the host profile's crossing weight is
-//! the SGX OCALL model). The interesting rows are the ones where the
-//! columns disagree — the flips the closed-form formulas cannot see.
+//! the same SELECT is planned by the measured, `CountingMemory`-driven
+//! planner under the host, disk, and cached-disk [`CostProfile`]s. Emits
+//! `BENCH_planner.json`: one row per profile × shape with the choice, its
+//! counted, profile-weighted cost (crossings priced per substrate; the
+//! host profile's crossing weight is the SGX OCALL model), and whether it
+//! differs from the host profile's choice for the same shape. The
+//! interesting rows are those flips — plans a substrate-blind planner
+//! would get wrong.
 
 use std::fmt::Write as _;
 
-use oblidb_core::plan::SelectChoice;
-use oblidb_core::planner::CostModel;
 use oblidb_core::{CostProfile, Database, DbConfig, SelectAlgo, StorageMethod, Value};
 
 fn smoke() -> bool {
@@ -46,9 +44,9 @@ fn profiles() -> Vec<CostProfile> {
     vec![CostProfile::host(), CostProfile::disk(), CostProfile::cached_disk()]
 }
 
-fn build(shape: &Shape, model: CostModel) -> Database {
+fn build(shape: &Shape, profile: CostProfile) -> Database {
     let mut config = DbConfig { om_bytes: shape.om_bytes, ..DbConfig::default() };
-    config.planner.cost_model = model;
+    config.planner.profile = profile;
     let mut db = Database::new(config);
     let schema = oblidb_core::Schema::new(vec![
         oblidb_core::Column::new("id", oblidb_core::DataType::Int),
@@ -63,48 +61,31 @@ fn build(shape: &Shape, model: CostModel) -> Database {
 
 /// Plans (without running) and reports the filter's chosen operator plus
 /// its estimated weighted cost.
-fn plan_choice(shape: &Shape, model: CostModel) -> (SelectAlgo, f64, Vec<(SelectAlgo, f64)>) {
-    let mut db = build(shape, model);
+fn plan_choice(shape: &Shape, profile: CostProfile) -> (SelectAlgo, f64) {
+    let mut db = build(shape, profile);
     let stmt = db.prepare("SELECT * FROM t WHERE v = 1").unwrap();
     let filter = stmt.plan().select_root().unwrap().find_filter().unwrap();
     let algo = filter.choice.algo().expect("flat base filter is decided at prepare");
-    let weighted = filter.est.map(|c| c.weighted).unwrap_or(f64::NAN);
-    let candidates = match &filter.choice {
-        SelectChoice::Chosen { candidates, .. } => {
-            candidates.iter().map(|c| (c.algo, c.cost.weighted)).collect()
-        }
-        _ => Vec::new(),
-    };
-    (algo, weighted, candidates)
+    (algo, filter.est.map(|c| c.weighted).unwrap_or(f64::NAN))
 }
 
 fn main() {
     let mut rows_json = Vec::new();
     let mut table = oblidb_bench::report::Report::new(
-        "planner: closed-form vs cost-calibrated",
-        &["profile", "shape", "closed-form", "costed", "closed w-cost", "costed w-cost", "flip"],
+        "planner: cost-calibrated choice per profile vs host",
+        &["profile", "shape", "host", "costed", "costed w-cost", "flip"],
     );
 
     for profile in profiles() {
         for shape in shapes() {
-            let (closed_algo, _, _) = plan_choice(&shape, CostModel::ClosedForm);
-            let (costed_algo, costed_cost, candidates) =
-                plan_choice(&shape, CostModel::Measured(profile.clone()));
-            // Price the closed-form choice under the same profile so the
-            // columns are comparable; the candidate table has it unless
-            // the closed-form pick was inadmissible (then re-simulate).
-            let closed_cost = candidates
-                .iter()
-                .find(|(a, _)| *a == closed_algo)
-                .map(|(_, c)| *c)
-                .unwrap_or(f64::NAN);
-            let flip = closed_algo != costed_algo;
+            let (host_algo, _) = plan_choice(&shape, CostProfile::host());
+            let (costed_algo, costed_cost) = plan_choice(&shape, profile.clone());
+            let flip = host_algo != costed_algo;
             table.row(&[
                 profile.name.clone(),
                 shape.name.to_string(),
-                format!("{closed_algo:?}"),
+                format!("{host_algo:?}"),
                 format!("{costed_algo:?}"),
-                format!("{closed_cost:.0}"),
                 format!("{costed_cost:.0}"),
                 if flip { "FLIP".into() } else { String::new() },
             ]);
@@ -112,16 +93,15 @@ fn main() {
             write!(
                 line,
                 "{{\"profile\": \"{}\", \"shape\": \"{}\", \"rows\": {}, \"om_bytes\": {}, \
-                 \"selectivity\": {:.4}, \"closed_form\": \"{:?}\", \"costed\": \"{:?}\", \
-                 \"closed_weighted\": {:.1}, \"costed_weighted\": {:.1}, \"flip\": {}}}",
+                 \"selectivity\": {:.4}, \"host\": \"{:?}\", \"costed\": \"{:?}\", \
+                 \"costed_weighted\": {:.1}, \"flip\": {}}}",
                 profile.name,
                 shape.name,
                 shape.rows,
                 shape.om_bytes,
                 1.0 / shape.modulus as f64,
-                closed_algo,
+                host_algo,
                 costed_algo,
-                closed_cost,
                 costed_cost,
                 flip,
             )

@@ -37,7 +37,7 @@ use crate::plan::{
     AccessPath, AggregateNode, Explain, FilterNode, GroupByNode, JoinChoice, JoinNode, NodeCost,
     PlanAction, PlanNode, QueryPlan, ScanNode, SelectChoice, SelectPlan, TxnVerb,
 };
-use crate::planner::{self, CostModel, JoinAlgo, PlannerConfig, SelectAlgo, SelectStats};
+use crate::planner::{self, JoinAlgo, PlannerConfig, SelectAlgo, SelectStats};
 use crate::predicate::Predicate;
 use crate::sql::{self, Projection, SelectItem, Statement};
 use crate::table::{FlatTable, IndexedTable, TableStorage};
@@ -969,8 +969,7 @@ impl<M: EnclaveMemory> Database<M> {
     fn build_plan(&mut self, query: &str) -> Result<QueryPlan, DbError> {
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Plan);
         let statement = sql::parse(query)?;
-        let profile =
-            self.config.planner.cost_model.profile().with_threads(self.config.exec.threads);
+        let profile = self.config.planner.profile.clone().with_threads(self.config.exec.threads);
         let action = match statement {
             Statement::Create(c) => PlanAction::Create(c),
             Statement::Insert(i) => PlanAction::Insert(i),
@@ -1064,7 +1063,7 @@ impl<M: EnclaveMemory> Database<M> {
             let renamed = ls.join(&s.table, &rs, &join.table);
             let (choice, est) = if let Some(algo) = self.config.planner.force_join {
                 (JoinChoice::Forced(algo), None)
-            } else if let (Some((lcap, lrows)), Some((rcap, rrows))) = (left_shape, right_shape) {
+            } else if let (Some(lcap), Some(rcap)) = (left_shape, right_shape) {
                 let shape = JoinShape {
                     left_schema: ls.clone(),
                     left_capacity: lcap,
@@ -1073,28 +1072,9 @@ impl<M: EnclaveMemory> Database<M> {
                     om_bytes,
                     zero_om_scratch_rows: self.config.zero_om_scratch_rows,
                 };
-                match &self.config.planner.cost_model {
-                    CostModel::Measured(_) => {
-                        let (algo, candidates) = cost::choose_join_costed(&shape, profile)?;
-                        let est = candidates.iter().find(|c| c.algo == algo).map(|c| c.cost);
-                        (JoinChoice::Chosen { algo, candidates }, est)
-                    }
-                    CostModel::ClosedForm => {
-                        let union_row = 18 + ls.row_len().max(rs.row_len());
-                        let algo = planner::choose_join(
-                            lrows,
-                            rrows,
-                            ls.row_len(),
-                            union_row,
-                            &self.om,
-                            &self.config.planner,
-                        );
-                        let est = cost::simulate_join(algo, &shape)
-                            .ok()
-                            .map(|c| NodeCost::from_stats(&c, profile));
-                        (JoinChoice::Chosen { algo, candidates: Vec::new() }, est)
-                    }
-                }
+                let (algo, candidates) = cost::choose_join_costed(&shape, profile)?;
+                let est = candidates.iter().find(|c| c.algo == algo).map(|c| c.cost);
+                (JoinChoice::Chosen { algo, candidates }, est)
             } else {
                 (JoinChoice::Deferred, None)
             };
@@ -1201,7 +1181,7 @@ impl<M: EnclaveMemory> Database<M> {
         name: &str,
         pred: Option<Predicate>,
         profile: &CostProfile,
-    ) -> Result<(PlanNode, Option<(u64, u64)>), DbError> {
+    ) -> Result<(PlanNode, Option<u64>), DbError> {
         match pred {
             Some(p) => {
                 let scan = self.plan_scan(idx, name, &p);
@@ -1222,8 +1202,8 @@ impl<M: EnclaveMemory> Database<M> {
                 let scan = self.plan_scan(idx, name, &Predicate::True);
                 let shape = match scan.access {
                     // A bare stored table is copied as-is (one oblivious
-                    // pass), keeping its capacity and fill.
-                    AccessPath::Flat => Some((scan.capacity, scan.rows)),
+                    // pass), keeping its capacity.
+                    AccessPath::Flat => Some(scan.capacity),
                     // Index materialization sizes the copy by the walk.
                     _ => None,
                 };
@@ -1753,30 +1733,10 @@ impl<M: EnclaveMemory> Database<M> {
                     zero_om_scratch_rows: self.config.zero_om_scratch_rows,
                 };
                 j.om_bytes = shape.om_bytes;
-                match &self.config.planner.cost_model {
-                    CostModel::Measured(_) => {
-                        let (algo, candidates) = cost::choose_join_costed(&shape, profile)?;
-                        j.est = candidates.iter().find(|c| c.algo == algo).map(|c| c.cost);
-                        j.choice = JoinChoice::Chosen { algo, candidates };
-                        algo
-                    }
-                    CostModel::ClosedForm => {
-                        let union_row = 18 + left.row_len().max(right.row_len());
-                        let algo = planner::choose_join(
-                            left.num_rows(),
-                            right.num_rows(),
-                            left.row_len(),
-                            union_row,
-                            &self.om,
-                            &self.config.planner,
-                        );
-                        j.est = cost::simulate_join(algo, &shape)
-                            .ok()
-                            .map(|c| NodeCost::from_stats(&c, profile));
-                        j.choice = JoinChoice::Chosen { algo, candidates: Vec::new() };
-                        algo
-                    }
-                }
+                let (algo, candidates) = cost::choose_join_costed(&shape, profile)?;
+                j.est = candidates.iter().find(|c| c.algo == algo).map(|c| c.cost);
+                j.choice = JoinChoice::Chosen { algo, candidates };
+                algo
             }
         };
         info.join_algo = Some(algo);
@@ -2035,8 +1995,8 @@ fn select_span_kind(algo: SelectAlgo) -> oblidb_telemetry::SpanKind {
     }
 }
 
-/// Picks a filter operator for a fully-shaped input: forced, cost-chosen
-/// (dry-run candidates, weigh, argmin), or closed-form — shared between
+/// Picks a filter operator for a fully-shaped input: forced, or
+/// cost-chosen (dry-run candidates, weigh, argmin) — shared between
 /// prepare-time and deferred run-time decisions.
 fn choose_filter(
     config: &DbConfig,
@@ -2049,27 +2009,9 @@ fn choose_filter(
             cost::simulate_select(algo, shape).ok().map(|s| NodeCost::from_stats(&s, profile));
         return Ok((SelectChoice::Forced(algo), est));
     }
-    match &config.planner.cost_model {
-        CostModel::Measured(_) => {
-            let (algo, candidates) =
-                cost::choose_select_costed(shape, stats, &config.planner, profile)?;
-            let est = candidates.iter().find(|c| c.algo == algo).map(|c| c.cost);
-            Ok((SelectChoice::Chosen { algo, candidates }, est))
-        }
-        CostModel::ClosedForm => {
-            let om = OmBudget::new(shape.om_bytes);
-            let algo = planner::choose_select(
-                stats,
-                shape.rows,
-                shape.schema.row_len(),
-                &om,
-                &config.planner,
-            );
-            let est =
-                cost::simulate_select(algo, shape).ok().map(|s| NodeCost::from_stats(&s, profile));
-            Ok((SelectChoice::Chosen { algo, candidates: Vec::new() }, est))
-        }
-    }
+    let (algo, candidates) = cost::choose_select_costed(shape, stats, &config.planner, profile)?;
+    let est = candidates.iter().find(|c| c.algo == algo).map(|c| c.cost);
+    Ok((SelectChoice::Chosen { algo, candidates }, est))
 }
 
 /// Runs a filter node's selection stage over a materialized flat input
@@ -2171,24 +2113,23 @@ fn run_filter_stage<M: EnclaveMemory>(
     Ok(out)
 }
 
-/// Exact output shape `(capacity, rows)` of a filter whose operator and
-/// match count were pinned at prepare time — the basis for prepare-time
-/// join costing. `None` when the shape depends on runtime state.
-fn filter_output_shape(f: &FilterNode) -> Option<(u64, u64)> {
+/// Exact output capacity of a filter whose operator and match count were
+/// pinned at prepare time — the basis for prepare-time join costing.
+/// `None` when the shape depends on runtime state.
+fn filter_output_shape(f: &FilterNode) -> Option<u64> {
     let input_capacity = match f.input.as_ref() {
         PlanNode::Scan(s) => s.capacity,
         _ => return None,
     };
     if let SelectChoice::Padded { pad_rows } = &f.choice {
-        return Some(((*pad_rows).max(1), *pad_rows));
+        return Some((*pad_rows).max(1));
     }
     let m = f.est_matches?;
-    let capacity = match f.choice.algo()? {
+    Some(match f.choice.algo()? {
         SelectAlgo::Large => input_capacity,
         SelectAlgo::Hash => m.max(1) * exec::HASH_SLOTS as u64,
         _ => m.max(1),
-    };
-    Some((capacity, m))
+    })
 }
 
 /// One oblivious copy pass.
@@ -2673,6 +2614,16 @@ mod tests {
             let out = db.execute("SELECT * FROM people WHERE id < 6").unwrap();
             assert_eq!(out.plan.select_algo, Some(algo));
             assert_eq!(out.len(), 6, "{algo:?}");
+        }
+        db.execute("CREATE TABLE dept (did INT, dname CHAR(8))").unwrap();
+        for d in 0..4 {
+            db.execute(&format!("INSERT INTO dept VALUES ({d}, 'd{d}')")).unwrap();
+        }
+        for algo in [JoinAlgo::Hash, JoinAlgo::Opaque, JoinAlgo::ZeroOm] {
+            db.config_mut().planner.force_join = Some(algo);
+            let out = db.execute("SELECT * FROM dept JOIN people ON dept.did = people.id").unwrap();
+            assert_eq!(out.plan.join_algo, Some(algo));
+            assert_eq!(out.len(), 4, "{algo:?}");
         }
     }
 

@@ -1,8 +1,9 @@
 //! The measured cost model behind the planner (ROADMAP: "use
-//! `CountingMemory` to build a real cost-based planner").
+//! `CountingMemory` to build a real cost-based planner") — the planner's
+//! only pricing path.
 //!
-//! Instead of trusting closed-form formulas, each candidate physical
-//! operator is **dry-run** against a scratch [`CountingMemory`]: a
+//! Each candidate physical operator is **dry-run** against a scratch
+//! [`CountingMemory`]: a
 //! payload-free substrate over which the real operator code executes its
 //! real access pattern (every select and join operator's pattern is a
 //! function of public sizes only — the obliviousness property the test
@@ -307,9 +308,18 @@ impl CostProfile {
     }
 
     /// Loads a previously saved [`CALIBRATION_FILE`] artifact from `dir`.
-    /// Returns `None` when the file is absent or fails validation.
+    /// Returns `None` when the file is absent, fails validation, or is
+    /// larger than [`CALIBRATION_MAX_BYTES`]: the file sits on untrusted
+    /// storage, so at most that many bytes are ever read into the enclave.
     pub fn load_from(dir: &std::path::Path) -> Option<Self> {
-        Self::from_text(&std::fs::read_to_string(dir.join(CALIBRATION_FILE)).ok()?)
+        use std::io::Read;
+        let file = std::fs::File::open(dir.join(CALIBRATION_FILE)).ok()?;
+        let mut text = String::new();
+        file.take(CALIBRATION_MAX_BYTES + 1).read_to_string(&mut text).ok()?;
+        if text.len() as u64 > CALIBRATION_MAX_BYTES {
+            return None;
+        }
+        Self::from_text(&text)
     }
 }
 
@@ -317,6 +327,10 @@ impl CostProfile {
 /// disk store's region files by calibration and reloaded by
 /// `database_open`.
 pub const CALIBRATION_FILE: &str = "oblidb.calibration";
+
+/// Size cap on a [`CALIBRATION_FILE`] artifact. A genuine one is a few
+/// hundred bytes; anything larger is rejected unread.
+pub const CALIBRATION_MAX_BYTES: u64 = 4096;
 
 impl Default for CostProfile {
     fn default() -> Self {
@@ -343,7 +357,8 @@ pub struct SelectShape {
     pub schema: Schema,
     /// Input capacity in blocks (scans cover capacity, not fill).
     pub capacity: u64,
-    /// Rows in use (the closed-form threshold gate uses this).
+    /// Rows in use (`Large` is admitted only when the matches reach
+    /// [`PlannerConfig::large_threshold`] of these).
     pub rows: u64,
     /// Match count |R| from the planner's preliminary scan.
     pub matches: u64,
@@ -639,6 +654,55 @@ mod tests {
         assert_eq!(on_disk, SelectAlgo::Small);
     }
 
+    fn candidate_algos(costed: &[CandidateCost]) -> Vec<SelectAlgo> {
+        costed.iter().map(|c| c.algo).collect()
+    }
+
+    #[test]
+    fn continuous_admitted_only_when_contiguous_and_enabled() {
+        let s = shape(64, 8, true, 1 << 20);
+        let stats = SelectStats { matches: 8, continuous: true };
+        let cfg = PlannerConfig::default();
+        let (_, costed) = choose_select_costed(&s, stats, &cfg, &CostProfile::host()).unwrap();
+        assert!(candidate_algos(&costed).contains(&SelectAlgo::Continuous));
+
+        let off = PlannerConfig { enable_continuous: false, ..PlannerConfig::default() };
+        let (algo, costed) = choose_select_costed(&s, stats, &off, &CostProfile::host()).unwrap();
+        assert_ne!(algo, SelectAlgo::Continuous);
+        assert_eq!(candidate_algos(&costed), [SelectAlgo::Small, SelectAlgo::Hash]);
+
+        let scattered = SelectStats { matches: 8, continuous: false };
+        let (_, costed) = choose_select_costed(&s, scattered, &cfg, &CostProfile::host()).unwrap();
+        assert!(!candidate_algos(&costed).contains(&SelectAlgo::Continuous));
+    }
+
+    #[test]
+    fn large_admitted_only_at_the_threshold() {
+        // Default threshold 0.9 of the 100 rows in use.
+        let cfg = PlannerConfig::default();
+        let admits = |matches: u64| {
+            let s = shape(100, matches, false, 16 * 17);
+            let stats = SelectStats { matches, continuous: false };
+            let (_, costed) = choose_select_costed(&s, stats, &cfg, &CostProfile::host()).unwrap();
+            candidate_algos(&costed).contains(&SelectAlgo::Large)
+        };
+        assert!(admits(95));
+        assert!(admits(90));
+        assert!(!admits(89));
+        assert!(!admits(50));
+        // Near-total result with a 16-row buffer: Small needs 6 full
+        // passes, so the single copy-and-clear of Large wins.
+        let s = shape(100, 95, false, 16 * 17);
+        let stats = SelectStats { matches: 95, continuous: false };
+        let (algo, _) = choose_select_costed(&s, stats, &cfg, &CostProfile::host()).unwrap();
+        assert_eq!(algo, SelectAlgo::Large);
+        // An empty table never admits Large.
+        let empty = SelectShape { rows: 0, ..shape(100, 0, false, 1 << 20) };
+        let stats = SelectStats { matches: 0, continuous: false };
+        let (_, costed) = choose_select_costed(&empty, stats, &cfg, &CostProfile::host()).unwrap();
+        assert!(!candidate_algos(&costed).contains(&SelectAlgo::Large));
+    }
+
     #[test]
     fn join_costing_covers_all_candidates() {
         let s = JoinShape {
@@ -771,5 +835,27 @@ mod tests {
         assert_eq!(CostProfile::load_from(&dir), None);
         std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(CostProfile::load_from(&dir), None);
+    }
+
+    #[test]
+    fn oversized_calibration_artifact_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("oblidb-calib-big-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Valid weights padded past the cap with a comment line.
+        let padded = format!(
+            "{}# {}\n",
+            CostProfile::disk().to_text(),
+            "x".repeat(CALIBRATION_MAX_BYTES as usize)
+        );
+        assert_eq!(CostProfile::from_text(&padded), Some(CostProfile::disk()));
+        std::fs::write(dir.join(CALIBRATION_FILE), &padded).unwrap();
+        assert_eq!(CostProfile::load_from(&dir), None);
+        // Exactly at the cap still loads.
+        let text = CostProfile::disk().to_text();
+        let at_cap = format!("{text}{}", "#".repeat(CALIBRATION_MAX_BYTES as usize - text.len()));
+        assert_eq!(at_cap.len() as u64, CALIBRATION_MAX_BYTES);
+        std::fs::write(dir.join(CALIBRATION_FILE), &at_cap).unwrap();
+        assert_eq!(CostProfile::load_from(&dir), Some(CostProfile::disk()));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -172,10 +172,11 @@ fn explain_analyze_is_cacheable_and_rerunnable() {
 fn auditor_flags_data_dependent_plan_choice() {
     let _g = gate();
     telemetry::set_enabled(false);
-    let mut config = DbConfig { audit: true, ..DbConfig::default() };
-    // The closed-form planner takes Continuous whenever the matches are
-    // contiguous — the sharpest data-dependent choice to flip.
-    config.planner.cost_model = oblidb::core::CostModel::ClosedForm;
+    // With a tight OM budget the planner takes the one-pass Continuous
+    // operator for contiguous matches and must fall back to a multi-pass
+    // one for scattered matches — the sharpest data-dependent choice to
+    // flip. (At the default budget both layouts fit one Small pass.)
+    let config = DbConfig { audit: true, om_bytes: 128, ..DbConfig::default() };
     let mut db = Database::new(config);
     // v marks 16 *contiguous* rows (k in 10..26); w marks 16 *scattered*
     // rows (every fourth k). Same table size, same match count.
