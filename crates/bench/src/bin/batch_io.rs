@@ -7,7 +7,7 @@
 //! `BENCH_batch_io.json` next to the working directory so successive PRs
 //! can diff the speedup.
 
-use oblidb_bench::report::{write_batch_json, BatchComparison, Report};
+use oblidb_bench::report::{write_bench_json, Field, Report, Row};
 use oblidb_bench::timing::{fmt_duration, time_mean};
 use oblidb_core::predicate::Predicate;
 use oblidb_core::table::FlatTable;
@@ -31,9 +31,13 @@ fn iters() -> usize {
 /// isolating pure AEAD/copy costs.
 const SGX_CROSSING_SPINS: u32 = 250;
 
+/// One case's label, blocks moved per measured operation, and mean
+/// per-block-loop and batched durations.
+type Case = (String, usize, Duration, Duration);
+
 /// Per-block vs. batched read+write of `blocks` sealed blocks over a host
 /// whose boundary transitions cost `spins` spin iterations each.
-fn storage_case(name: &str, blocks: usize, payload: usize, spins: u32) -> BatchComparison {
+fn storage_case(name: &str, blocks: usize, payload: usize, spins: u32) -> Case {
     let mut host = Host::new();
     host.set_crossing_cost(spins);
     let mut region = SealedRegion::create(&mut host, AeadKey([7u8; 32]), blocks, payload).unwrap();
@@ -51,19 +55,14 @@ fn storage_case(name: &str, blocks: usize, payload: usize, spins: u32) -> BatchC
         region.write_batch(&mut host, 0, &payloads).unwrap();
         std::hint::black_box(region.read_batch(&mut host, 0, blocks).unwrap());
     });
-    BatchComparison {
-        name: name.to_string(),
-        blocks,
-        per_block_s: per_block.as_secs_f64(),
-        batched_s: batched.as_secs_f64(),
-    }
+    (name.to_string(), blocks, per_block, batched)
 }
 
 /// End-to-end operator check: a full oblivious table scan (aggregate)
 /// before/after is not separable here, so compare the raw row loop the
 /// pre-batching operators used against the batched streaming the current
 /// ones use.
-fn scan_case(rows: usize, spins: u32) -> BatchComparison {
+fn scan_case(rows: usize, spins: u32) -> Case {
     let schema =
         Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", DataType::Int)]);
     let mut host = Host::new();
@@ -98,19 +97,15 @@ fn scan_case(rows: usize, spins: u32) -> BatchComparison {
             .unwrap();
         std::hint::black_box(n);
     });
-    BatchComparison {
-        name: format!(
-            "table_scan/{rows}rows/{}",
-            if spins == 0 { "free-crossing" } else { "sgx-crossing" }
-        ),
-        blocks: rows,
-        per_block_s: per_block.as_secs_f64(),
-        batched_s: batched.as_secs_f64(),
-    }
+    let name = format!(
+        "table_scan/{rows}rows/{}",
+        if spins == 0 { "free-crossing" } else { "sgx-crossing" }
+    );
+    (name, rows, per_block, batched)
 }
 
 fn main() {
-    let results = vec![
+    let cases = vec![
         storage_case("rw/64B/free-crossing", 1024, 64, 0),
         storage_case("rw/256B/free-crossing", 1024, 256, 0),
         storage_case("rw/64B/sgx-crossing", 1024, 64, SGX_CROSSING_SPINS),
@@ -124,19 +119,28 @@ fn main() {
         "Batched sealed-block I/O (per-block loop vs batched crossings)",
         &["case", "blocks", "per-block", "batched", "speedup"],
     );
-    for r in &results {
+    let mut rows: Vec<Row> = Vec::new();
+    for (name, blocks, per_block, batched) in cases {
+        let (per_block_s, batched_s) = (per_block.as_secs_f64(), batched.as_secs_f64());
+        let speedup = per_block_s / batched_s.max(f64::MIN_POSITIVE);
         report.row(&[
-            r.name.clone(),
-            r.blocks.to_string(),
-            fmt_duration(Duration::from_secs_f64(r.per_block_s)),
-            fmt_duration(Duration::from_secs_f64(r.batched_s)),
-            format!("{:.2}x", r.speedup()),
+            name.clone(),
+            blocks.to_string(),
+            fmt_duration(per_block),
+            fmt_duration(batched),
+            format!("{speedup:.2}x"),
+        ]);
+        rows.push(vec![
+            ("name", name.into()),
+            ("blocks", blocks.into()),
+            ("per_block_s", Field::Float(per_block_s, 9)),
+            ("batched_s", Field::Float(batched_s, 9)),
+            ("speedup", Field::Float(speedup, 3)),
         ]);
     }
     report.print();
 
-    match write_batch_json(std::path::Path::new("."), "batch_io", &results) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_batch_io.json: {e}"),
-    }
+    let path = write_bench_json(std::path::Path::new("."), "batch_io", &[], &rows)
+        .expect("write BENCH_batch_io.json");
+    println!("\nwrote {}", path.display());
 }

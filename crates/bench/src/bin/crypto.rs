@@ -13,7 +13,7 @@
 //! a miss prints a warning rather than failing, so the bench stays
 //! usable on hardware without wide vectors.
 
-use oblidb_bench::report::{write_crypto_json, CryptoThroughput, Report};
+use oblidb_bench::report::{write_bench_json, Field, Report, Row};
 use oblidb_bench::timing::time_mean;
 use oblidb_crypto::simd::{self, Backend};
 use oblidb_crypto::{open_batch, seal_batch, AeadKey, Nonce, TAG_LEN};
@@ -91,76 +91,67 @@ fn main() {
         backends.push(detected);
     }
 
-    let mut results: Vec<CryptoThroughput> = Vec::new();
+    // (op, backend, batch blocks, MiB/s); the scalar rows are always
+    // present so the artifact records the fallback numbers alongside the
+    // SIMD ones.
+    let mut results: Vec<(&str, &str, usize, f64)> = Vec::new();
     for &backend in &backends {
         simd::force(Some(backend));
         for batch in BATCHES {
             let (seal, open) = aead_case(batch);
-            for (op, mib) in [("seal", seal), ("open", open)] {
-                results.push(CryptoThroughput {
-                    op: op.into(),
-                    backend: backend.label().into(),
-                    batch_blocks: batch,
-                    block_bytes: BLOCK_BYTES,
-                    mib_s: mib,
-                    speedup_vs_scalar: 1.0, // filled below
-                });
-            }
+            results.push(("seal", backend.label(), batch, seal));
+            results.push(("open", backend.label(), batch, open));
         }
-        results.push(CryptoThroughput {
-            op: "region_scan".into(),
-            backend: backend.label().into(),
-            batch_blocks: 256,
-            block_bytes: BLOCK_BYTES,
-            mib_s: scan_case(256),
-            speedup_vs_scalar: 1.0,
-        });
+        results.push(("region_scan", backend.label(), 256, scan_case(256)));
     }
     simd::force(None);
 
-    // Fill speedups relative to the scalar row at the same (op, batch).
-    let scalar: Vec<CryptoThroughput> =
-        results.iter().filter(|r| r.backend == "scalar").cloned().collect();
-    for r in &mut results {
-        if let Some(base) = scalar.iter().find(|s| s.op == r.op && s.batch_blocks == r.batch_blocks)
-        {
-            r.speedup_vs_scalar = r.mib_s / base.mib_s.max(f64::MIN_POSITIVE);
-        }
-    }
+    // Throughput relative to the scalar row at the same (op, batch).
+    let vs_scalar = |op: &str, batch: usize, mib_s: f64| {
+        let base = results
+            .iter()
+            .find(|&&(o, b, n, _)| b == "scalar" && o == op && n == batch)
+            .map_or(mib_s, |r| r.3);
+        mib_s / base.max(f64::MIN_POSITIVE)
+    };
 
     let mut report = Report::new(
         format!("Crypto hot path (detected backend: {})", detected.label()),
         &["op", "backend", "batch", "MiB/s", "vs scalar"],
     );
-    for r in &results {
+    let mut rows: Vec<Row> = Vec::new();
+    let mut below_target = Vec::new();
+    for &(op, backend, batch, mib_s) in &results {
+        let speedup = vs_scalar(op, batch, mib_s);
         report.row(&[
-            r.op.clone(),
-            r.backend.clone(),
-            r.batch_blocks.to_string(),
-            format!("{:.1}", r.mib_s),
-            format!("{:.2}x", r.speedup_vs_scalar),
+            op.to_string(),
+            backend.to_string(),
+            batch.to_string(),
+            format!("{mib_s:.1}"),
+            format!("{speedup:.2}x"),
         ]);
+        rows.push(vec![
+            ("op", op.into()),
+            ("backend", backend.into()),
+            ("batch_blocks", batch.into()),
+            ("block_bytes", BLOCK_BYTES.into()),
+            ("mib_s", Field::Float(mib_s, 3)),
+            ("speedup_vs_scalar", Field::Float(speedup, 3)),
+        ]);
+        if backend != "scalar" && batch == 256 && matches!(op, "seal" | "open") && speedup < 2.0 {
+            below_target.push((op, speedup));
+        }
     }
     report.print();
 
-    if detected != Backend::Scalar && !oblidb_bench::harness::smoke_mode() {
-        for op in ["seal", "open"] {
-            let simd_row = results
-                .iter()
-                .find(|r| r.op == op && r.batch_blocks == 256 && r.backend != "scalar");
-            if let Some(r) = simd_row {
-                if r.speedup_vs_scalar < 2.0 {
-                    println!(
-                        "WARNING: {op}@256 is {:.2}x scalar — below the 2x target",
-                        r.speedup_vs_scalar
-                    );
-                }
-            }
+    if !oblidb_bench::harness::smoke_mode() {
+        for (op, speedup) in below_target {
+            println!("WARNING: {op}@256 is {speedup:.2}x scalar — below the 2x target");
         }
     }
 
-    match write_crypto_json(std::path::Path::new("."), "crypto", detected.label(), &results) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_crypto.json: {e}"),
-    }
+    let meta = [("detected_backend", detected.label().into())];
+    let path = write_bench_json(std::path::Path::new("."), "crypto", &meta, &rows)
+        .expect("write BENCH_crypto.json");
+    println!("\nwrote {}", path.display());
 }

@@ -7,9 +7,9 @@
 //! oblivious-memory quicksort) but speeds up with plain enclave scratch.
 //! The planner must pick the measured-fastest of {Hash, Opaque} per cell.
 //!
-//! Note (EXPERIMENTS.md): on this substrate random and sequential block
-//! accesses cost the same, so the hash→sort crossover needs a smaller OM
-//! than on the paper's SGX testbed; the orderings within each column hold.
+//! Note: on this substrate random and sequential block accesses cost the
+//! same, so the hash→sort crossover needs a smaller OM than on the
+//! paper's SGX testbed; the orderings within each column hold.
 
 use oblidb_bench::report::Report;
 use oblidb_bench::setup::{scale, Scale};

@@ -11,8 +11,7 @@
 //! interesting rows are those flips — plans a substrate-blind planner
 //! would get wrong.
 
-use std::fmt::Write as _;
-
+use oblidb_bench::report::{write_bench_json, Field, Row};
 use oblidb_core::{CostProfile, Database, DbConfig, SelectAlgo, StorageMethod, Value};
 
 fn smoke() -> bool {
@@ -70,7 +69,8 @@ fn plan_choice(shape: &Shape, profile: CostProfile) -> (SelectAlgo, f64) {
 }
 
 fn main() {
-    let mut rows_json = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
+    let mut flips = 0;
     let mut table = oblidb_bench::report::Report::new(
         "planner: cost-calibrated choice per profile vs host",
         &["profile", "shape", "host", "costed", "costed w-cost", "flip"],
@@ -81,6 +81,7 @@ fn main() {
             let (host_algo, _) = plan_choice(&shape, CostProfile::host());
             let (costed_algo, costed_cost) = plan_choice(&shape, profile.clone());
             let flip = host_algo != costed_algo;
+            flips += usize::from(flip);
             table.row(&[
                 profile.name.clone(),
                 shape.name.to_string(),
@@ -89,36 +90,26 @@ fn main() {
                 format!("{costed_cost:.0}"),
                 if flip { "FLIP".into() } else { String::new() },
             ]);
-            let mut line = String::new();
-            write!(
-                line,
-                "{{\"profile\": \"{}\", \"shape\": \"{}\", \"rows\": {}, \"om_bytes\": {}, \
-                 \"selectivity\": {:.4}, \"host\": \"{:?}\", \"costed\": \"{:?}\", \
-                 \"costed_weighted\": {:.1}, \"flip\": {}}}",
-                profile.name,
-                shape.name,
-                shape.rows,
-                shape.om_bytes,
-                1.0 / shape.modulus as f64,
-                host_algo,
-                costed_algo,
-                costed_cost,
-                flip,
-            )
-            .unwrap();
-            rows_json.push(line);
+            rows.push(vec![
+                ("profile", profile.name.as_str().into()),
+                ("shape", shape.name.into()),
+                ("rows", shape.rows.into()),
+                ("om_bytes", shape.om_bytes.into()),
+                ("selectivity", Field::Float(1.0 / shape.modulus as f64, 4)),
+                ("host", format!("{host_algo:?}").into()),
+                ("costed", format!("{costed_algo:?}").into()),
+                ("costed_weighted", Field::Float(costed_cost, 1)),
+                ("flip", flip.into()),
+            ]);
         }
     }
     table.print();
 
-    let json = format!(
-        "{{\n  \"bench\": \"planner\",\n  \"results\": [\n    {}\n  ]\n}}\n",
-        rows_json.join(",\n    ")
-    );
-    std::fs::write("BENCH_planner.json", &json).expect("write BENCH_planner.json");
-    println!("\nwrote BENCH_planner.json ({} rows)", rows_json.len());
+    let path = write_bench_json(std::path::Path::new("."), "planner", &[], &rows)
+        .expect("write BENCH_planner.json");
+    println!("\nwrote {} ({} rows)", path.display(), rows.len());
 
     // The artifact must contain at least one flip, or the calibration adds
     // nothing — fail the bench run loudly rather than rot silently.
-    assert!(json.contains("\"flip\": true"), "expected at least one profile-driven plan flip");
+    assert!(flips > 0, "expected at least one profile-driven plan flip");
 }

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use oblidb_bench::report::{write_server_json, Report, ServerMeta, ServerScaling};
+use oblidb_bench::report::{write_bench_json, Field, Report, Row};
 use oblidb_core::{DbConfig, SharedDatabase};
 use oblidb_enclave::Host;
 use oblidb_server::client::{Connection, StatementResult};
@@ -107,7 +107,8 @@ fn drive_client(addr: &str, client: usize, statements: u64) {
 
 fn main() {
     let statements = statements_per_session();
-    let mut results: Vec<ServerScaling> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
+    let mut base_stmts_per_sec = None;
     let mut report = Report::new(
         "Serving throughput vs concurrent sessions (read-heavy, 1 ms crossings)",
         &["sessions", "seconds", "stmts/s", "speedup"],
@@ -124,27 +125,34 @@ fn main() {
         let seconds = started.elapsed().as_secs_f64();
         handle.shutdown();
         let stmts_per_sec = (sessions as u64 * statements) as f64 / seconds;
-        let speedup = match results.first() {
-            Some(base) => stmts_per_sec / base.stmts_per_sec,
-            None => 1.0,
-        };
+        let speedup = stmts_per_sec / *base_stmts_per_sec.get_or_insert(stmts_per_sec);
         report.row(&[
             sessions.to_string(),
             format!("{seconds:.3}"),
             format!("{stmts_per_sec:.1}"),
             format!("{speedup:.2}"),
         ]);
-        results.push(ServerScaling { sessions, seconds, stmts_per_sec, speedup });
+        rows.push(vec![
+            ("sessions", sessions.into()),
+            ("seconds", Field::Float(seconds, 9)),
+            ("stmts_per_sec", Field::Float(stmts_per_sec, 3)),
+            ("speedup", Field::Float(speedup, 3)),
+        ]);
     }
     report.print();
-    let meta = ServerMeta {
-        rows: table_rows(),
-        statements_per_session: statements,
-        reads_per_write: READS_PER_WRITE,
-        stall_nanos_nominal: STALL_NANOS,
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    let path = write_server_json(std::path::Path::new("."), "server", &meta, &results)
+    // The fixed experimental conditions; the stall is paid at the
+    // shared-store layer, outside the store lock.
+    let meta = [
+        ("rows", table_rows().into()),
+        ("statements_per_session", statements.into()),
+        ("reads_per_write", READS_PER_WRITE.into()),
+        ("stall_nanos_nominal", STALL_NANOS.into()),
+        (
+            "available_parallelism",
+            std::thread::available_parallelism().map_or(1, |n| n.get()).into(),
+        ),
+    ];
+    let path = write_bench_json(std::path::Path::new("."), "server", &meta, &rows)
         .expect("write BENCH_server.json");
     println!("\nwrote {}", path.display());
 }

@@ -10,10 +10,10 @@
 //! that is the conformance property — so the interesting columns are
 //! seconds and, for the cache, how much backing traffic was absorbed.
 
-use oblidb_bench::report::{write_substrate_json, Report, SubstrateMeasurement};
+use oblidb_bench::report::{write_bench_json, Field, Report, Row};
 use oblidb_bench::timing::{fmt_duration, time_mean};
 use oblidb_core::{Database, DbConfig, StorageMethod, Value};
-use oblidb_enclave::EnclaveMemory;
+use oblidb_enclave::{EnclaveMemory, StatsReport};
 use oblidb_substrates::{AnySubstrate, SubstrateSpec};
 use std::time::Duration;
 
@@ -83,15 +83,19 @@ fn setup(substrate: AnySubstrate) -> Database<AnySubstrate> {
     db
 }
 
-/// One workload measurement: times `iters()` runs, then captures the
-/// counters of exactly one further run, so the JSON row pairs
-/// mean-per-iteration seconds with per-iteration counters whatever the
-/// iteration count (smoke and full artifacts stay comparable).
+/// One workload measurement: wall-clock, the substrate's counters, and
+/// the inner-substrate crossings after cache absorption (`None` when the
+/// substrate has no cache layer).
+type Measurement = (f64, StatsReport, Option<u64>);
+
+/// Times `iters()` runs, then captures the counters of exactly one
+/// further run, so the JSON row pairs mean-per-iteration seconds with
+/// per-iteration counters whatever the iteration count (smoke and full
+/// artifacts stay comparable).
 fn measure(
     db: &mut Database<AnySubstrate>,
-    workload: &str,
     mut f: impl FnMut(&mut Database<AnySubstrate>),
-) -> SubstrateMeasurement {
+) -> Measurement {
     // Warm once (page cache, allocator, ORAM stash) outside the timing.
     f(db);
     let mean = time_mean(iters(), || f(db));
@@ -99,17 +103,42 @@ fn measure(
     let backing_before = db.host_mut().backing_stats().map(|s| s.crossings);
     f(db);
     let m = db.host_mut();
-    SubstrateMeasurement {
-        workload: workload.to_string(),
-        report: m.stats().report(m.label()),
-        seconds: mean.as_secs_f64(),
-        backing_crossings: m.backing_stats().map(|s| s.crossings - backing_before.unwrap_or(0)),
-    }
+    let backing = m.backing_stats().map(|s| s.crossings - backing_before.unwrap_or(0));
+    (mean.as_secs_f64(), m.stats().report(m.label()), backing)
 }
 
 fn main() {
     let n = rows();
-    let mut results: Vec<SubstrateMeasurement> = Vec::new();
+    let mut report = Report::new(
+        format!("Engine workloads across substrates ({n} rows, SGX-priced crossings)"),
+        &["substrate", "workload", "mean", "crossings", "backing-crossings"],
+    );
+    let mut rows: Vec<Row> = Vec::new();
+    let mut record = |workload: &str, (seconds, stats, backing): Measurement| {
+        let s = stats.stats;
+        report.row(&[
+            stats.name.clone(),
+            workload.to_string(),
+            fmt_duration(Duration::from_secs_f64(seconds)),
+            s.crossings.to_string(),
+            backing.map_or_else(|| "-".into(), |b| b.to_string()),
+        ]);
+        let mut row: Row = vec![
+            ("substrate", stats.name.into()),
+            ("workload", workload.into()),
+            ("seconds", Field::Float(seconds, 9)),
+            ("reads", s.reads.into()),
+            ("writes", s.writes.into()),
+            ("bytes_read", s.bytes_read.into()),
+            ("bytes_written", s.bytes_written.into()),
+            ("crossings", s.crossings.into()),
+            ("stall_nanos", s.stall_nanos.into()),
+        ];
+        if let Some(b) = backing {
+            row.push(("backing_crossings", b.into()));
+        }
+        rows.push(row);
+    };
     let mut cache_notes: Vec<String> = Vec::new();
 
     for spec in specs() {
@@ -118,20 +147,29 @@ fn main() {
         let label = substrate.label();
         let mut db = setup(substrate);
 
-        results.push(measure(&mut db, "scan", |db| {
-            let out = db.execute("SELECT COUNT(*), SUM(v) FROM t WHERE k >= 0").unwrap();
-            std::hint::black_box(out.rows()[0][0].as_int());
-        }));
-        results.push(measure(&mut db, "select", |db| {
-            let out = db.execute(&format!("SELECT * FROM t WHERE k < {}", n / 8)).unwrap();
-            std::hint::black_box(out.len());
-        }));
-        results.push(measure(&mut db, "oram_point", |db| {
-            for probe in [1i64, n / 16, n / 8 - 1] {
-                let out = db.execute(&format!("SELECT * FROM idx WHERE k = {probe}")).unwrap();
+        record(
+            "scan",
+            measure(&mut db, |db| {
+                let out = db.execute("SELECT COUNT(*), SUM(v) FROM t WHERE k >= 0").unwrap();
+                std::hint::black_box(out.rows()[0][0].as_int());
+            }),
+        );
+        record(
+            "select",
+            measure(&mut db, |db| {
+                let out = db.execute(&format!("SELECT * FROM t WHERE k < {}", n / 8)).unwrap();
                 std::hint::black_box(out.len());
-            }
-        }));
+            }),
+        );
+        record(
+            "oram_point",
+            measure(&mut db, |db| {
+                for probe in [1i64, n / 16, n / 8 - 1] {
+                    let out = db.execute(&format!("SELECT * FROM idx WHERE k = {probe}")).unwrap();
+                    std::hint::black_box(out.len());
+                }
+            }),
+        );
 
         if let Some(cs) = db.host_mut().cache_stats() {
             cache_notes.push(format!(
@@ -144,26 +182,12 @@ fn main() {
         }
     }
 
-    let mut report = Report::new(
-        format!("Engine workloads across substrates ({n} rows, SGX-priced crossings)"),
-        &["substrate", "workload", "mean", "crossings", "backing-crossings"],
-    );
-    for r in &results {
-        report.row(&[
-            r.report.name.clone(),
-            r.workload.clone(),
-            fmt_duration(Duration::from_secs_f64(r.seconds)),
-            r.report.stats.crossings.to_string(),
-            r.backing_crossings.map_or_else(|| "-".into(), |b| b.to_string()),
-        ]);
-    }
     report.print();
     for note in &cache_notes {
         println!("{note}");
     }
 
-    match write_substrate_json(std::path::Path::new("."), "substrates", &results) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_substrates.json: {e}"),
-    }
+    let path = write_bench_json(std::path::Path::new("."), "substrates", &[], &rows)
+        .expect("write BENCH_substrates.json");
+    println!("\nwrote {}", path.display());
 }

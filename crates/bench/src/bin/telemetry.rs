@@ -10,7 +10,7 @@
 //! full mode (smoke runs are too short to time reliably but still
 //! exercise the pipeline and emit the artifact).
 
-use oblidb_bench::report::{write_telemetry_json, Report, TelemetryOverhead};
+use oblidb_bench::report::{write_bench_json, Field, Report, Row};
 use oblidb_bench::timing::{fmt_duration, time_mean};
 use oblidb_core::{Database, DbConfig};
 use std::time::Duration;
@@ -88,9 +88,20 @@ fn measure_pair(db_off: &mut Database, db_on: &mut Database, sql: &str) -> (f64,
 }
 
 fn main() {
-    let mut results: Vec<TelemetryOverhead> = Vec::new();
+    let mut report = Report::new(
+        format!(
+            "Telemetry overhead ({} rows, {} iters{})",
+            table_rows(),
+            iters(),
+            if smoke() { ", smoke" } else { "" },
+        ),
+        &["workload", "off", "on", "overhead", "spans/iter"],
+    );
+    let mut rows: Vec<Row> = Vec::new();
+    // (workload, overhead) for the acceptance bar below.
+    let mut overheads: Vec<(&str, f64)> = Vec::new();
 
-    for (workload, sql) in WORKLOADS {
+    for &(workload, sql) in WORKLOADS {
         // A fresh engine per phase so plan-cache state matches.
         oblidb_telemetry::set_enabled(false);
         let mut db_off = seeded();
@@ -103,51 +114,44 @@ fn main() {
         let spans_per_iter = oblidb_telemetry::take_spans().len() as u64;
 
         let (off_seconds, on_seconds) = measure_pair(&mut db_off, &mut db_on, sql);
+        // As a fraction: 0.03 = 3%.
         let overhead = on_seconds / off_seconds - 1.0;
-        results.push(TelemetryOverhead {
-            workload: workload.to_string(),
-            off_seconds,
-            on_seconds,
-            overhead,
-            spans_per_iter,
-        });
-    }
-
-    let mut report = Report::new(
-        format!(
-            "Telemetry overhead ({} rows, {} iters{})",
-            table_rows(),
-            iters(),
-            if smoke() { ", smoke" } else { "" },
-        ),
-        &["workload", "off", "on", "overhead", "spans/iter"],
-    );
-    for r in &results {
         report.row(&[
-            r.workload.clone(),
-            fmt_duration(Duration::from_secs_f64(r.off_seconds)),
-            fmt_duration(Duration::from_secs_f64(r.on_seconds)),
-            format!("{:+.1}%", r.overhead * 100.0),
-            r.spans_per_iter.to_string(),
+            workload.to_string(),
+            fmt_duration(Duration::from_secs_f64(off_seconds)),
+            fmt_duration(Duration::from_secs_f64(on_seconds)),
+            format!("{:+.1}%", overhead * 100.0),
+            spans_per_iter.to_string(),
         ]);
+        rows.push(vec![
+            ("workload", workload.into()),
+            ("off_seconds", Field::Float(off_seconds, 9)),
+            ("on_seconds", Field::Float(on_seconds, 9)),
+            ("overhead", Field::Float(overhead, 4)),
+            ("spans_per_iter", spans_per_iter.into()),
+        ]);
+        overheads.push((workload, overhead));
     }
     report.print();
 
-    match write_telemetry_json(std::path::Path::new("."), "telemetry", iters(), &results) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_telemetry.json: {e}"),
-    }
+    let path = write_bench_json(
+        std::path::Path::new("."),
+        "telemetry",
+        &[("iters", iters().into())],
+        &rows,
+    )
+    .expect("write BENCH_telemetry.json");
+    println!("\nwrote {}", path.display());
 
     // The acceptance bar: spans-on stays under 5% of spans-off. Smoke
     // iterations are far below timer noise, so the bar is only enforced
     // on full runs.
     if !smoke() {
-        for r in &results {
+        for (workload, overhead) in overheads {
             assert!(
-                r.overhead < 0.05,
-                "{}: telemetry-on overhead {:.1}% exceeds the 5% budget",
-                r.workload,
-                r.overhead * 100.0
+                overhead < 0.05,
+                "{workload}: telemetry-on overhead {:.1}% exceeds the 5% budget",
+                overhead * 100.0
             );
         }
         println!("all workloads under the 5% spans-on budget");

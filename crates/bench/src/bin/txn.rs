@@ -11,7 +11,7 @@
 //! bar — group commit at least 3× the baseline — is enforced on full
 //! runs (smoke runs still exercise the pipeline and emit the artifact).
 
-use oblidb_bench::report::{write_txn_json, Report, TxnThroughput};
+use oblidb_bench::report::{write_bench_json, Field, Report, Row};
 use oblidb_bench::timing::fmt_duration;
 use oblidb_core::{DbConfig, EpochConfig, SharedDatabase, WalConfig};
 use oblidb_substrates::DiskMemory;
@@ -63,26 +63,14 @@ fn run(epoch_cap: Option<usize>) -> f64 {
 
 fn main() {
     let n = statements();
-    let mut results: Vec<TxnThroughput> = Vec::new();
-
     let base_seconds = run(None);
-    results.push(TxnThroughput {
-        mode: "per-statement".into(),
-        epoch_statements: 1,
-        seconds: base_seconds,
-        stmts_per_sec: n as f64 / base_seconds,
-        speedup: 1.0,
-    });
+    // (mode, statements per group fsync, wall seconds); the
+    // per-statement baseline comes first.
+    let mut results = vec![("per-statement".to_string(), 1u64, base_seconds)];
     for &k in EPOCH_SIZES {
-        let seconds = run(Some(k));
-        results.push(TxnThroughput {
-            mode: format!("epoch/{k}"),
-            epoch_statements: k as u64,
-            seconds,
-            stmts_per_sec: n as f64 / seconds,
-            speedup: base_seconds / seconds.max(f64::MIN_POSITIVE),
-        });
+        results.push((format!("epoch/{k}"), k as u64, run(Some(k))));
     }
+    let speedup = |seconds: f64| base_seconds / seconds.max(f64::MIN_POSITIVE);
 
     let mut report = Report::new(
         format!(
@@ -91,25 +79,34 @@ fn main() {
         ),
         &["mode", "wall", "stmts/s", "speedup"],
     );
-    for r in &results {
+    let mut rows: Vec<Row> = Vec::new();
+    for (mode, epoch_statements, seconds) in &results {
+        let stmts_per_sec = n as f64 / seconds;
         report.row(&[
-            r.mode.clone(),
-            fmt_duration(Duration::from_secs_f64(r.seconds)),
-            format!("{:.0}", r.stmts_per_sec),
-            format!("{:.2}x", r.speedup),
+            mode.clone(),
+            fmt_duration(Duration::from_secs_f64(*seconds)),
+            format!("{stmts_per_sec:.0}"),
+            format!("{:.2}x", speedup(*seconds)),
+        ]);
+        rows.push(vec![
+            ("mode", mode.as_str().into()),
+            ("epoch_statements", (*epoch_statements).into()),
+            ("seconds", Field::Float(*seconds, 9)),
+            ("stmts_per_sec", Field::Float(stmts_per_sec, 3)),
+            ("speedup", Field::Float(speedup(*seconds), 3)),
         ]);
     }
     report.print();
 
-    match write_txn_json(std::path::Path::new("."), "txn", n, &results) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_txn.json: {e}"),
-    }
+    let path =
+        write_bench_json(std::path::Path::new("."), "txn", &[("statements", n.into())], &rows)
+            .expect("write BENCH_txn.json");
+    println!("\nwrote {}", path.display());
 
     // The acceptance bar: some epoch size reaches 3× the per-statement
     // baseline. Smoke runs are too short to time reliably.
     if !smoke() {
-        let best = results[1..].iter().map(|r| r.speedup).fold(0.0, f64::max);
+        let best = results[1..].iter().map(|r| speedup(r.2)).fold(0.0, f64::max);
         assert!(best >= 3.0, "group commit best speedup {best:.2}x is under the 3x acceptance bar");
         println!("group commit clears the 3x bar (best {best:.2}x)");
     }

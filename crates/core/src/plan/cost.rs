@@ -131,46 +131,6 @@ impl CostProfile {
         }
     }
 
-    /// Seeds a profile from a `BENCH_substrates.json` document (the
-    /// artifact `bench/src/bin/substrates.rs` emits): block weights come
-    /// from the measured seconds-per-block of the named substrate,
-    /// normalized so the `host` rows define 1.0, and the crossing weight
-    /// is retained from the label's canonical profile (crossing counts in
-    /// the bench are too small — everything is batched — to fit reliably).
-    /// Returns `None` when the document has no rows for `label`.
-    pub fn from_bench_json(json: &str, label: &str) -> Option<Self> {
-        let per_block = |name: &str| -> Option<f64> {
-            let mut total_secs = 0.0;
-            let mut total_blocks = 0.0;
-            for line in json.lines() {
-                if !line.contains(&format!("\"substrate\": \"{name}\"")) {
-                    continue;
-                }
-                let secs = json_num(line, "seconds")?;
-                let blocks = json_num(line, "reads")? + json_num(line, "writes")?;
-                total_secs += secs;
-                total_blocks += blocks;
-            }
-            if total_blocks > 0.0 {
-                Some(total_secs / total_blocks)
-            } else {
-                None
-            }
-        };
-        let own = per_block(label)?;
-        let base = per_block("host").unwrap_or(own);
-        let rel = if base > 0.0 { (own / base).max(0.1) } else { 1.0 };
-        let canonical = Self::named(label);
-        Some(CostProfile {
-            name: format!("{label} (bench-seeded)"),
-            read_block: rel,
-            write_block: rel * (canonical.write_block / canonical.read_block),
-            crossing: canonical.crossing,
-            threads: canonical.threads,
-            parallel_block_fraction: canonical.parallel_block_fraction,
-        })
-    }
-
     /// Measures a live profile with a micro-probe against `mem`: times
     /// per-block vs batched reads and writes over a scratch region, and
     /// solves for the per-block and per-crossing costs (normalized so one
@@ -336,17 +296,6 @@ impl Default for CostProfile {
     fn default() -> Self {
         Self::host()
     }
-}
-
-/// Extracts `"key": <number>` from one JSON object line.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// The public shape a SELECT dry run needs: everything the adversary
@@ -720,19 +669,6 @@ mod tests {
         let (algo, costed) = choose_join_costed(&zero, &CostProfile::host()).unwrap();
         assert_eq!(algo, JoinAlgo::ZeroOm);
         assert_eq!(costed.len(), 1);
-    }
-
-    #[test]
-    fn bench_json_seeding_normalizes_to_host() {
-        let json = r#"
-{"substrate": "host", "workload": "scan", "seconds": 0.001, "reads": 900, "writes": 100, "crossings": 10}
-{"substrate": "disk", "workload": "scan", "seconds": 0.002, "reads": 900, "writes": 100, "crossings": 10}
-"#;
-        let host = CostProfile::from_bench_json(json, "host").unwrap();
-        let disk = CostProfile::from_bench_json(json, "disk").unwrap();
-        assert!((host.read_block - 1.0).abs() < 1e-9);
-        assert!((disk.read_block - 2.0).abs() < 1e-9);
-        assert!(CostProfile::from_bench_json(json, "nope").is_none());
     }
 
     #[test]

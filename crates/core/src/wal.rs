@@ -211,7 +211,7 @@ impl Wal {
     }
 
     /// Appends one statement as immediately committed (kind
-    /// [`REC_STATEMENT`]), before its mutation executes. Exactly one
+    /// `REC_STATEMENT`), before its mutation executes. Exactly one
     /// sealed write — no data-dependent access pattern.
     pub fn append<M: EnclaveMemory>(
         &mut self,
@@ -227,7 +227,7 @@ impl Wal {
     }
 
     /// Appends one statement into the currently open epoch (kind
-    /// [`REC_EPOCH_PENDING`]). Invisible to recovery until
+    /// `REC_EPOCH_PENDING`). Invisible to recovery until
     /// [`Wal::append_epoch_commit`] seals the group.
     pub fn append_pending<M: EnclaveMemory>(
         &mut self,

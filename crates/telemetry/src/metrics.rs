@@ -286,8 +286,10 @@ impl MetricsSnapshot {
     }
 }
 
-/// JSON string quoting per RFC 8259.
-fn json_str(s: &str) -> String {
+/// JSON string quoting per RFC 8259: escapes quotes, backslashes and
+/// control characters; everything else (including non-ASCII) passes
+/// through unescaped, which valid JSON allows.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
