@@ -5,7 +5,7 @@ use oblidb_bench::harness::{BenchmarkId, Criterion, Throughput};
 use oblidb_bench::{criterion_group, criterion_main};
 use oblidb_crypto::aead::{open, seal, AeadKey, Nonce};
 use oblidb_crypto::{sha256, SipHash24};
-use oblidb_enclave::Host;
+use oblidb_enclave::{CrossingCost, EnclaveMemory, Host};
 use oblidb_storage::SealedRegion;
 
 fn bench_aead(c: &mut Criterion) {
@@ -64,7 +64,7 @@ fn bench_sealed_io(c: &mut Criterion) {
     for size in [64usize, 1024] {
         group.throughput(Throughput::Bytes((BLOCKS * size) as u64));
         let mut host = Host::new();
-        host.set_crossing_cost(SGX_CROSSING_SPINS);
+        host.set_crossing_cost(CrossingCost { spins: SGX_CROSSING_SPINS, stall_nanos: 0 });
         let mut region = SealedRegion::create(&mut host, AeadKey([7u8; 32]), BLOCKS, size).unwrap();
         let payloads = vec![0xCDu8; BLOCKS * size];
         group.bench_with_input(BenchmarkId::new("write_per_block", size), &size, |b, &size| {

@@ -62,14 +62,14 @@ fn bench_scan_batching(c: &mut Criterion) {
     use oblidb_core::table::FlatTable;
     use oblidb_core::types::Schema;
     use oblidb_crypto::aead::AeadKey;
-    use oblidb_enclave::Host;
+    use oblidb_enclave::{CrossingCost, EnclaveMemory, Host};
 
     let mut group = c.benchmark_group("scan_io (sgx-priced crossings)");
     let schema = synthetic::schema(8);
     let rows = synthetic::table(N, 8, 5);
     let encoded: Vec<Vec<u8>> = rows.iter().map(|r| schema.encode_row(r).unwrap()).collect();
     let mut host = Host::new();
-    host.set_crossing_cost(250);
+    host.set_crossing_cost(CrossingCost { spins: 250, stall_nanos: 0 });
     let mut table =
         FlatTable::from_encoded_rows(&mut host, AeadKey([1u8; 32]), schema, &encoded, N as u64)
             .unwrap();

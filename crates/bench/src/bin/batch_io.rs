@@ -13,7 +13,7 @@ use oblidb_core::predicate::Predicate;
 use oblidb_core::table::FlatTable;
 use oblidb_core::types::{Column, DataType, Schema, Value};
 use oblidb_crypto::aead::AeadKey;
-use oblidb_enclave::Host;
+use oblidb_enclave::{CrossingCost, EnclaveMemory, Host};
 use oblidb_storage::SealedRegion;
 use std::time::Duration;
 
@@ -39,7 +39,7 @@ type Case = (String, usize, Duration, Duration);
 /// whose boundary transitions cost `spins` spin iterations each.
 fn storage_case(name: &str, blocks: usize, payload: usize, spins: u32) -> Case {
     let mut host = Host::new();
-    host.set_crossing_cost(spins);
+    host.set_crossing_cost(CrossingCost { spins, stall_nanos: 0 });
     let mut region = SealedRegion::create(&mut host, AeadKey([7u8; 32]), blocks, payload).unwrap();
     let payloads = vec![0xA5u8; blocks * payload];
 
@@ -66,7 +66,7 @@ fn scan_case(rows: usize, spins: u32) -> Case {
     let schema =
         Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", DataType::Int)]);
     let mut host = Host::new();
-    host.set_crossing_cost(spins);
+    host.set_crossing_cost(CrossingCost { spins, stall_nanos: 0 });
     let encoded: Vec<Vec<u8>> = (0..rows as i64)
         .map(|i| schema.encode_row(&[Value::Int(i), Value::Int(i * 3)]).unwrap())
         .collect();

@@ -23,7 +23,7 @@ use oblidb_bench::timing::{fmt_duration, time_mean};
 use oblidb_core::table::FlatTable;
 use oblidb_core::{Column, DataType, Schema, Value};
 use oblidb_crypto::aead::AeadKey;
-use oblidb_enclave::{Host, ThreadPool};
+use oblidb_enclave::{CrossingCost, EnclaveMemory, Host, ThreadPool};
 use oblidb_substrates::ShardedMemory;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -76,10 +76,8 @@ fn setup(mem: &mut ShardedMemory<Host>) -> Vec<Mutex<FlatTable>> {
             FlatTable::from_encoded_rows(shard, AeadKey(key), schema, &encoded, rows).unwrap(),
         )
     });
-    for s in 0..SHARDS {
-        mem.shard_mut(s).set_crossing_stall(STALL_NANOS);
-        mem.shard_mut(s).reset_stats();
-    }
+    mem.set_crossing_cost(CrossingCost { spins: 0, stall_nanos: STALL_NANOS });
+    mem.reset_stats();
     tables
 }
 

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use oblidb_bench::report::{write_bench_json, Field, Report, Row};
 use oblidb_core::{DbConfig, SharedDatabase};
-use oblidb_enclave::Host;
+use oblidb_enclave::{CrossingCost, Host};
 use oblidb_server::client::{Connection, StatementResult};
 use oblidb_server::server::{serve, ServerConfig};
 
@@ -69,7 +69,7 @@ fn start_point(sessions: usize) -> (oblidb_server::server::ServerHandle, String)
     for k in 0..table_rows() as i64 {
         setup.execute(&format!("INSERT INTO t VALUES ({k}, {})", (k * 7) % 1000)).expect("load");
     }
-    db.store().set_crossing_stall(STALL_NANOS);
+    db.store().set_crossing_cost(CrossingCost { spins: 0, stall_nanos: STALL_NANOS });
     let handle =
         serve(db, ServerConfig { addr: "127.0.0.1:0".to_string(), workers: sessions, epoch: None })
             .expect("serve");

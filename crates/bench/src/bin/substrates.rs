@@ -13,8 +13,8 @@
 use oblidb_bench::report::{write_bench_json, Field, Report, Row};
 use oblidb_bench::timing::{fmt_duration, time_mean};
 use oblidb_core::{Database, DbConfig, StorageMethod, Value};
-use oblidb_enclave::{EnclaveMemory, StatsReport};
-use oblidb_substrates::{AnySubstrate, SubstrateSpec};
+use oblidb_enclave::{CrossingCost, EnclaveMemory, StatsReport};
+use oblidb_substrates::{CachedMemory, DiskMemory, SubstrateSpec};
 use std::time::Duration;
 
 /// Same SGX-transition model as `batch_io`: ~8k cycles per crossing.
@@ -57,7 +57,7 @@ fn specs() -> Vec<SubstrateSpec> {
 
 /// Builds the experiment database: a flat fact table and an ORAM-indexed
 /// point-lookup table, bulk-loaded.
-fn setup(substrate: AnySubstrate) -> Database<AnySubstrate> {
+fn setup<M: EnclaveMemory>(substrate: M) -> Database<M> {
     let n = rows();
     let mut db = Database::with_memory(substrate, DbConfig::default());
     let schema = oblidb_core::Schema::new(vec![
@@ -91,20 +91,60 @@ type Measurement = (f64, StatsReport, Option<u64>);
 /// Times `iters()` runs, then captures the counters of exactly one
 /// further run, so the JSON row pairs mean-per-iteration seconds with
 /// per-iteration counters whatever the iteration count (smoke and full
-/// artifacts stay comparable).
-fn measure(
-    db: &mut Database<AnySubstrate>,
-    mut f: impl FnMut(&mut Database<AnySubstrate>),
+/// artifacts stay comparable). `backing` reads the cache's inner-substrate
+/// crossings, for stacks that have a cache layer.
+fn measure<M: EnclaveMemory>(
+    db: &mut Database<M>,
+    label: &str,
+    backing: impl Fn(&M) -> Option<u64>,
+    mut f: impl FnMut(&mut Database<M>),
 ) -> Measurement {
     // Warm once (page cache, allocator, ORAM stash) outside the timing.
     f(db);
     let mean = time_mean(iters(), || f(db));
     db.host_mut().reset_stats();
-    let backing_before = db.host_mut().backing_stats().map(|s| s.crossings);
+    let backing_before = backing(db.host_mut());
     f(db);
     let m = db.host_mut();
-    let backing = m.backing_stats().map(|s| s.crossings - backing_before.unwrap_or(0));
-    (mean.as_secs_f64(), m.stats().report(m.label()), backing)
+    let backing = backing(m).map(|b| b - backing_before.unwrap_or(0));
+    (mean.as_secs_f64(), m.stats().report(label), backing)
+}
+
+/// Prices the boundary, loads the experiment tables over `substrate`, and
+/// records the scan, select and ORAM point workloads.
+fn run<M: EnclaveMemory>(
+    mut substrate: M,
+    label: &str,
+    backing: impl Fn(&M) -> Option<u64>,
+    record: &mut impl FnMut(&str, Measurement),
+) -> Database<M> {
+    let n = rows();
+    substrate.set_crossing_cost(CrossingCost { spins: SGX_CROSSING_SPINS, stall_nanos: 0 });
+    let mut db = setup(substrate);
+    record(
+        "scan",
+        measure(&mut db, label, &backing, |db| {
+            let out = db.execute("SELECT COUNT(*), SUM(v) FROM t WHERE k >= 0").unwrap();
+            std::hint::black_box(out.rows()[0][0].as_int());
+        }),
+    );
+    record(
+        "select",
+        measure(&mut db, label, &backing, |db| {
+            let out = db.execute(&format!("SELECT * FROM t WHERE k < {}", n / 8)).unwrap();
+            std::hint::black_box(out.len());
+        }),
+    );
+    record(
+        "oram_point",
+        measure(&mut db, label, &backing, |db| {
+            for probe in [1i64, n / 16, n / 8 - 1] {
+                let out = db.execute(&format!("SELECT * FROM idx WHERE k = {probe}")).unwrap();
+                std::hint::black_box(out.len());
+            }
+        }),
+    );
+    db
 }
 
 fn main() {
@@ -142,36 +182,15 @@ fn main() {
     let mut cache_notes: Vec<String> = Vec::new();
 
     for spec in specs() {
-        let mut substrate = spec.build().expect("substrate builds");
-        substrate.set_crossing_cost(SGX_CROSSING_SPINS);
-        let label = substrate.label();
-        let mut db = setup(substrate);
-
-        record(
-            "scan",
-            measure(&mut db, |db| {
-                let out = db.execute("SELECT COUNT(*), SUM(v) FROM t WHERE k >= 0").unwrap();
-                std::hint::black_box(out.rows()[0][0].as_int());
-            }),
-        );
-        record(
-            "select",
-            measure(&mut db, |db| {
-                let out = db.execute(&format!("SELECT * FROM t WHERE k < {}", n / 8)).unwrap();
-                std::hint::black_box(out.len());
-            }),
-        );
-        record(
-            "oram_point",
-            measure(&mut db, |db| {
-                for probe in [1i64, n / 16, n / 8 - 1] {
-                    let out = db.execute(&format!("SELECT * FROM idx WHERE k = {probe}")).unwrap();
-                    std::hint::black_box(out.len());
-                }
-            }),
-        );
-
-        if let Some(cs) = db.host_mut().cache_stats() {
+        let label = spec.profile_name();
+        // The cached stack runs concretely, so its cache and backing
+        // counters stay readable.
+        if let SubstrateSpec::CachedDisk { dir: None, capacity_blocks } = spec {
+            let cached =
+                CachedMemory::new(DiskMemory::temp().expect("disk builds"), capacity_blocks);
+            let backing = |m: &CachedMemory<DiskMemory>| Some(m.inner().stats().crossings);
+            let mut db = run(cached, label, backing, &mut record);
+            let cs = db.host_mut().cache_stats();
             cache_notes.push(format!(
                 "{label}: cache hit rate {:.1}% ({} hits / {} misses, {} evictions)",
                 cs.hit_rate() * 100.0,
@@ -179,6 +198,8 @@ fn main() {
                 cs.misses,
                 cs.evictions
             ));
+        } else {
+            run(spec.build().expect("substrate builds"), label, |_| None, &mut record);
         }
     }
 

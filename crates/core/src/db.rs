@@ -418,12 +418,6 @@ impl<M: EnclaveMemory> Database<M> {
         self.wal.as_ref().map_or(0, |w| w.epoch_pending())
     }
 
-    /// The WAL's monotonic log sequence number — records ever appended
-    /// across truncating checkpoints (`None` without a WAL).
-    pub fn wal_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.checkpoint_lsn())
-    }
-
     /// Records dropped from the WAL prefix by truncating checkpoints
     /// (`None` without a WAL).
     pub fn wal_base_lsn(&self) -> Option<u64> {

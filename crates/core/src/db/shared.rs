@@ -239,7 +239,7 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
     }
 
     /// The shared substrate handle — for crossing-cost configuration
-    /// ([`SharedMemory::set_crossing_stall`]) and store-level stats.
+    /// ([`SharedMemory::set_crossing_cost`]) and store-level stats.
     pub fn store(&self) -> &SharedMemory<M> {
         &self.inner.store
     }

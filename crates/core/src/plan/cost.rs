@@ -120,8 +120,8 @@ impl CostProfile {
     }
 
     /// The profile conventionally paired with a substrate label as
-    /// reported by `oblidb_substrates::AnySubstrate::label()` /
-    /// `SubstrateSpec::profile_name()`. Unknown labels get [`CostProfile::host`].
+    /// reported by `oblidb_substrates::SubstrateSpec::profile_name()`.
+    /// Unknown labels get [`CostProfile::host`].
     pub fn named(label: &str) -> Self {
         match label {
             "uniform" => Self::uniform(),

@@ -346,6 +346,13 @@ impl CrossingCost {
             std::thread::sleep(std::time::Duration::from_nanos(self.stall_nanos));
         }
     }
+
+    /// Pays for one boundary transition and counts it in `stats`.
+    pub fn cross(self, stats: &mut HostStats) {
+        stats.crossings += 1;
+        stats.stall_nanos += self.stall_nanos;
+        self.pay();
+    }
 }
 
 /// The untrusted world: all memory outside the enclave.
@@ -358,40 +365,13 @@ pub struct Host {
     regions: Vec<Option<Region>>,
     trace: Option<Vec<AccessEvent>>,
     stats: HostStats,
-    crossing: CrossingCost,
+    pub(crate) crossing: CrossingCost,
 }
 
 impl Host {
     /// Creates an empty untrusted memory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets a simulated per-crossing cost: every boundary transition
-    /// (per-block call or batched call, either direction) additionally
-    /// executes `spins` spin-loop iterations.
-    ///
-    /// On real SGX an enclave transition costs ~8,000+ cycles regardless
-    /// of payload size — the fixed cost that makes batching matter and
-    /// that an in-process simulator otherwise prices at zero. Default 0,
-    /// so unit tests and traces are unaffected; the benchmark harness
-    /// opts in to measure the amortization honestly.
-    pub fn set_crossing_cost(&mut self, spins: u32) {
-        self.crossing.spins = spins;
-    }
-
-    /// Sets the stall component of the crossing price (see
-    /// [`CrossingCost::stall_nanos`]): the worker blocks that long per
-    /// transition instead of burning CPU. Default 0.
-    pub fn set_crossing_stall(&mut self, nanos: u64) {
-        self.crossing.stall_nanos = nanos;
-    }
-
-    /// Pays for one boundary transition.
-    fn cross(stats: &mut HostStats, cost: CrossingCost) {
-        stats.crossings += 1;
-        stats.stall_nanos += cost.stall_nanos;
-        cost.pay();
     }
 
     /// Allocates a region of `blocks` blocks, each `block_size` bytes.
@@ -475,7 +455,7 @@ impl Host {
             .ok_or(HostError::OutOfBounds { region, index, len })?
             .as_deref()
             .ok_or(HostError::EmptyBlock(region, index))?;
-        Self::cross(&mut self.stats, self.crossing);
+        self.crossing.cross(&mut self.stats);
         self.stats.reads += 1;
         self.stats.bytes_read += block.len() as u64;
         // Reborrow immutably for the return value.
@@ -508,7 +488,7 @@ impl Host {
             Some(existing) => existing.copy_from_slice(data),
             None => *slot = Some(data.to_vec().into_boxed_slice()),
         }
-        Self::cross(&mut self.stats, self.crossing);
+        self.crossing.cross(&mut self.stats);
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         Ok(())
@@ -567,7 +547,7 @@ impl Host {
             if !crossed {
                 // Counted only once a block validates, exactly like the
                 // per-block path (failed accesses leave counters alone).
-                Self::cross(stats, cost);
+                cost.cross(stats);
                 crossed = true;
             }
             out.extend_from_slice(block);
@@ -637,7 +617,7 @@ impl Host {
                 None => *slot = Some(chunk.to_vec().into_boxed_slice()),
             }
             if !crossed {
-                Self::cross(stats, cost);
+                cost.cross(stats);
                 crossed = true;
             }
             stats.writes += 1;
@@ -705,7 +685,8 @@ impl Host {
 
     /// Zeroes the aggregate counters.
     ///
-    /// The simulated crossing cost ([`Host::set_crossing_cost`]) is
+    /// The simulated crossing cost
+    /// ([`EnclaveMemory::set_crossing_cost`](crate::EnclaveMemory::set_crossing_cost)) is
     /// *configuration*, not a counter: it survives resets, so a benchmark
     /// can price the boundary once and reset between measurements without
     /// silently reverting to free crossings.
@@ -830,7 +811,7 @@ mod tests {
     #[test]
     fn reset_stats_preserves_crossing_cost() {
         let mut h = Host::new();
-        h.set_crossing_cost(3);
+        crate::EnclaveMemory::set_crossing_cost(&mut h, CrossingCost { spins: 3, stall_nanos: 0 });
         let r = h.alloc_region(1, 4).unwrap();
         h.write(r, 0, &[0; 4]).unwrap();
         h.reset_stats();

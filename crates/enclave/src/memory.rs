@@ -8,7 +8,7 @@
 //! — in later iterations — disk-backed or sharded backends.
 
 use crate::host::{
-    batch_count, AccessEvent, AccessKind, Host, HostError, HostStats, RegionId, Trace,
+    batch_count, AccessEvent, AccessKind, CrossingCost, Host, HostError, HostStats, RegionId, Trace,
 };
 
 /// Abstract untrusted block memory, as seen from inside the enclave.
@@ -176,6 +176,118 @@ pub trait EnclaveMemory {
         let _ = region;
         self.sync()
     }
+
+    /// Sets the simulated price of one boundary crossing (~8,000+ cycles on
+    /// real SGX whatever the payload size: the fixed cost batching
+    /// amortizes). Substrates start unpriced, so traces and unit tests are
+    /// unaffected, and the price survives [`EnclaveMemory::reset_stats`].
+    /// The default ignores it: a substrate with no modelled boundary, such
+    /// as [`CountingMemory`].
+    fn set_crossing_cost(&mut self, cost: CrossingCost) {
+        let _ = cost;
+    }
+}
+
+/// A boxed substrate is a substrate: every call, defaulted ones included,
+/// reaches the boxed value's own implementation. This is what lets a
+/// runtime-selected stack (`Box<dyn EnclaveMemory + Send>`) stand in for
+/// a concrete one.
+impl<M: EnclaveMemory + ?Sized> EnclaveMemory for Box<M> {
+    fn alloc_region(&mut self, blocks: usize, block_size: usize) -> Result<RegionId, HostError> {
+        (**self).alloc_region(blocks, block_size)
+    }
+
+    fn free_region(&mut self, region: RegionId) -> Result<(), HostError> {
+        (**self).free_region(region)
+    }
+
+    fn grow_region(&mut self, region: RegionId, new_blocks: usize) -> Result<(), HostError> {
+        (**self).grow_region(region, new_blocks)
+    }
+
+    fn region_len(&self, region: RegionId) -> Result<u64, HostError> {
+        (**self).region_len(region)
+    }
+
+    fn region_block_size(&self, region: RegionId) -> Result<usize, HostError> {
+        (**self).region_block_size(region)
+    }
+
+    fn read(&mut self, region: RegionId, index: u64) -> Result<&[u8], HostError> {
+        (**self).read(region, index)
+    }
+
+    fn write(&mut self, region: RegionId, index: u64, data: &[u8]) -> Result<(), HostError> {
+        (**self).write(region, index, data)
+    }
+
+    fn read_blocks(
+        &mut self,
+        region: RegionId,
+        start: u64,
+        count: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), HostError> {
+        (**self).read_blocks(region, start, count, out)
+    }
+
+    fn read_blocks_at(
+        &mut self,
+        region: RegionId,
+        indices: &[u64],
+        out: &mut Vec<u8>,
+    ) -> Result<(), HostError> {
+        (**self).read_blocks_at(region, indices, out)
+    }
+
+    fn write_blocks(&mut self, region: RegionId, start: u64, data: &[u8]) -> Result<(), HostError> {
+        (**self).write_blocks(region, start, data)
+    }
+
+    fn write_blocks_at(
+        &mut self,
+        region: RegionId,
+        indices: &[u64],
+        data: &[u8],
+    ) -> Result<(), HostError> {
+        (**self).write_blocks_at(region, indices, data)
+    }
+
+    fn start_trace(&mut self) {
+        (**self).start_trace()
+    }
+
+    fn take_trace(&mut self) -> Trace {
+        (**self).take_trace()
+    }
+
+    fn tracing(&self) -> bool {
+        (**self).tracing()
+    }
+
+    fn stats(&self) -> HostStats {
+        (**self).stats()
+    }
+
+    fn reset_stats(&mut self) {
+        (**self).reset_stats()
+    }
+
+    fn retains_payloads(&self) -> bool {
+        (**self).retains_payloads()
+    }
+
+    fn sync(&mut self) -> Result<(), HostError> {
+        (**self).sync()
+    }
+
+    fn sync_region(&mut self, region: RegionId) -> Result<(), HostError> {
+        (**self).sync_region(region)
+    }
+
+    fn set_crossing_cost(&mut self, cost: CrossingCost) {
+        (**self).set_crossing_cost(cost)
+    }
 }
 
 impl EnclaveMemory for Host {
@@ -257,6 +369,10 @@ impl EnclaveMemory for Host {
 
     fn reset_stats(&mut self) {
         Host::reset_stats(self)
+    }
+
+    fn set_crossing_cost(&mut self, cost: CrossingCost) {
+        self.crossing = cost;
     }
 }
 
@@ -602,6 +718,110 @@ mod tests {
     fn host_retains_payloads_counting_does_not() {
         assert!(EnclaveMemory::retains_payloads(&Host::new()));
         assert!(!CountingMemory::new().retains_payloads());
+        let boxed: Box<dyn EnclaveMemory> = Box::new(CountingMemory::new());
+        assert!(!boxed.retains_payloads(), "a boxed substrate keeps its own answer");
+    }
+
+    type Calls = std::rc::Rc<std::cell::RefCell<Vec<&'static str>>>;
+    type R = Result<(), HostError>;
+
+    /// Logs every call to a method that has a default body, so a `Box`
+    /// forwarding impl that forgets one (letting the default run) shows.
+    struct Spy(Calls);
+
+    impl EnclaveMemory for Spy {
+        fn alloc_region(&mut self, _: usize, _: usize) -> Result<RegionId, HostError> {
+            Ok(RegionId(0))
+        }
+        fn free_region(&mut self, _: RegionId) -> R {
+            Ok(())
+        }
+        fn grow_region(&mut self, _: RegionId, _: usize) -> R {
+            Ok(())
+        }
+        fn region_len(&self, _: RegionId) -> Result<u64, HostError> {
+            Ok(0)
+        }
+        fn region_block_size(&self, _: RegionId) -> Result<usize, HostError> {
+            Ok(0)
+        }
+        fn read(&mut self, _: RegionId, _: u64) -> Result<&[u8], HostError> {
+            Ok(&[])
+        }
+        fn write(&mut self, _: RegionId, _: u64, _: &[u8]) -> R {
+            Ok(())
+        }
+        fn start_trace(&mut self) {}
+        fn take_trace(&mut self) -> Trace {
+            Trace::default()
+        }
+        fn tracing(&self) -> bool {
+            false
+        }
+        fn stats(&self) -> HostStats {
+            HostStats::default()
+        }
+        fn reset_stats(&mut self) {}
+
+        fn read_blocks(&mut self, _: RegionId, _: u64, _: usize, _: &mut Vec<u8>) -> R {
+            self.0.borrow_mut().push("read_blocks");
+            Ok(())
+        }
+        fn read_blocks_at(&mut self, _: RegionId, _: &[u64], _: &mut Vec<u8>) -> R {
+            self.0.borrow_mut().push("read_blocks_at");
+            Ok(())
+        }
+        fn write_blocks(&mut self, _: RegionId, _: u64, _: &[u8]) -> R {
+            self.0.borrow_mut().push("write_blocks");
+            Ok(())
+        }
+        fn write_blocks_at(&mut self, _: RegionId, _: &[u64], _: &[u8]) -> R {
+            self.0.borrow_mut().push("write_blocks_at");
+            Ok(())
+        }
+        fn retains_payloads(&self) -> bool {
+            self.0.borrow_mut().push("retains_payloads");
+            false
+        }
+        fn sync(&mut self) -> R {
+            self.0.borrow_mut().push("sync");
+            Ok(())
+        }
+        fn sync_region(&mut self, _: RegionId) -> R {
+            self.0.borrow_mut().push("sync_region");
+            Ok(())
+        }
+        fn set_crossing_cost(&mut self, _: CrossingCost) {
+            self.0.borrow_mut().push("set_crossing_cost");
+        }
+    }
+
+    #[test]
+    fn box_forwards_every_defaulted_method() {
+        let calls = Calls::default();
+        let mut m: Box<dyn EnclaveMemory> = Box::new(Spy(Calls::clone(&calls)));
+        let r = RegionId(0);
+        m.read_blocks(r, 0, 1, &mut Vec::new()).unwrap();
+        m.read_blocks_at(r, &[0], &mut Vec::new()).unwrap();
+        m.write_blocks(r, 0, &[]).unwrap();
+        m.write_blocks_at(r, &[], &[]).unwrap();
+        m.retains_payloads();
+        m.sync().unwrap();
+        m.sync_region(r).unwrap();
+        m.set_crossing_cost(CrossingCost::default());
+        assert_eq!(
+            *calls.borrow(),
+            [
+                "read_blocks",
+                "read_blocks_at",
+                "write_blocks",
+                "write_blocks_at",
+                "retains_payloads",
+                "sync",
+                "sync_region",
+                "set_crossing_cost",
+            ]
+        );
     }
 
     #[test]
@@ -624,6 +844,8 @@ mod tests {
         let (trace_c, stats_c) = drive(&mut CountingMemory::new());
         assert_eq!(trace_h, trace_c, "batched traces must be identical across substrates");
         assert_eq!(stats_h, stats_c);
+        let mut boxed: Box<dyn EnclaveMemory> = Box::new(Host::new());
+        assert_eq!(drive(&mut boxed), (trace_h.clone(), stats_h), "boxing changes nothing");
         assert_eq!(stats_h.crossings, 4, "one crossing per batched call");
         assert_eq!(stats_h.reads, 8);
         assert_eq!(stats_h.writes, 9);

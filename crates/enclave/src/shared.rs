@@ -64,7 +64,6 @@ impl<M> Clone for SharedMemory<M> {
 impl<M: EnclaveMemory> SharedMemory<M> {
     /// Wraps `store` for shared use. The store's own crossing price should
     /// be zero (see the module docs); price the boundary with
-    /// [`SharedMemory::set_crossing_stall`] /
     /// [`SharedMemory::set_crossing_cost`] instead.
     pub fn new(store: M) -> Self {
         Self {
@@ -78,18 +77,12 @@ impl<M: EnclaveMemory> SharedMemory<M> {
         }
     }
 
-    /// Sets the CPU-burning component of the per-crossing price every
-    /// session pays (see [`CrossingCost::spins`]). Takes effect on the
-    /// next crossing of every session.
-    pub fn set_crossing_cost(&self, spins: u32) {
-        self.inner.crossing_spins.store(spins, Ordering::Relaxed);
-    }
-
-    /// Sets the stall component of the per-crossing price every session
-    /// pays (see [`CrossingCost::stall_nanos`]). Paid outside the store
-    /// lock, so concurrent sessions' stalls overlap.
-    pub fn set_crossing_stall(&self, nanos: u64) {
-        self.inner.crossing_stall.store(nanos, Ordering::Relaxed);
+    /// Sets the per-crossing price every session pays, from the next
+    /// crossing of every session on. Paid outside the store lock, so
+    /// concurrent sessions' stalls overlap.
+    pub fn set_crossing_cost(&self, cost: CrossingCost) {
+        self.inner.crossing_spins.store(cost.spins, Ordering::Relaxed);
+        self.inner.crossing_stall.store(cost.stall_nanos, Ordering::Relaxed);
     }
 
     /// Mints a new session handle over the shared store.
@@ -119,13 +112,6 @@ impl<M: EnclaveMemory> SharedMemory<M> {
         let mut s = lock(&self.inner.store).stats();
         s.stall_nanos += self.inner.session_stall_nanos.load(Ordering::Relaxed);
         s
-    }
-
-    /// Runs `f` with exclusive access to the raw store — the admin escape
-    /// hatch (persistence attach, adversary APIs in tests). Keep it brief:
-    /// every session blocks while `f` runs.
-    pub fn with_store<R>(&self, f: impl FnOnce(&mut M) -> R) -> R {
-        f(&mut lock(&self.inner.store))
     }
 }
 
@@ -538,7 +524,7 @@ mod tests {
     #[test]
     fn session_stall_is_priced_and_aggregated() {
         let shared = SharedMemory::new(Host::new());
-        shared.set_crossing_stall(1);
+        shared.set_crossing_cost(CrossingCost { spins: 0, stall_nanos: 1 });
         let mut m = shared.session();
         let r = m.alloc_region(2, 4).unwrap();
         m.write_blocks(r, 0, &[0; 8]).unwrap();

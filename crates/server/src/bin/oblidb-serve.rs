@@ -26,6 +26,7 @@
 use std::process::ExitCode;
 
 use oblidb_core::{Database, DbConfig, EpochConfig, SharedDatabase, WalConfig};
+use oblidb_enclave::CrossingCost;
 use oblidb_server::server::{serve, ServerConfig};
 use oblidb_substrates::SubstrateSpec;
 
@@ -120,7 +121,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    db.store().set_crossing_stall(args.stall_nanos);
+    db.store().set_crossing_cost(CrossingCost { spins: 0, stall_nanos: args.stall_nanos });
     let durable = spec.persist_dir().is_some();
     let server_config = ServerConfig { addr: args.addr.clone(), workers: args.workers, epoch };
     let handle = match serve(db.clone(), server_config) {

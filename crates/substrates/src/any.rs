@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use oblidb_enclave::{EnclaveMemory, Host, HostError, HostStats, RegionId, Trace};
+use oblidb_enclave::{EnclaveMemory, Host};
 
 use crate::{CachedMemory, DiskMemory, ShardedMemory};
 
@@ -67,6 +67,9 @@ pub enum ParseSubstrateError {
     },
     /// The spec ended where more was required (e.g. `sharded:4`).
     Incomplete(&'static str),
+    /// Text after `host`, which takes none (e.g. the `/data` of
+    /// `host:/data`): an in-RAM host has no directory to persist into.
+    UnexpectedText(String),
 }
 
 impl std::fmt::Display for ParseSubstrateError {
@@ -82,6 +85,9 @@ impl std::fmt::Display for ParseSubstrateError {
                 write!(f, "invalid {field} '{got}' (expected a positive integer)")
             }
             ParseSubstrateError::Incomplete(what) => write!(f, "spec is missing {what}"),
+            ParseSubstrateError::UnexpectedText(s) => {
+                write!(f, "unexpected '{s}' after 'host' (an in-RAM host takes no directory)")
+            }
         }
     }
 }
@@ -106,12 +112,18 @@ impl std::str::FromStr for SubstrateSpec {
         fn inner_disk_dir(rest: Option<&str>) -> Option<PathBuf> {
             rest.filter(|p| !p.is_empty()).map(PathBuf::from)
         }
+        fn host(rest: Option<&str>) -> Result<SubstrateSpec, ParseSubstrateError> {
+            match rest.filter(|r| !r.is_empty()) {
+                Some(r) => Err(ParseSubstrateError::UnexpectedText(r.to_string())),
+                None => Ok(SubstrateSpec::Host),
+            }
+        }
         let (kind, rest) = match s.split_once(':') {
             Some((k, r)) => (k, Some(r)),
             None => (s, None),
         };
         match kind.trim().to_ascii_lowercase().as_str() {
-            "host" => Ok(SubstrateSpec::Host),
+            "host" => host(rest),
             "disk" => Ok(SubstrateSpec::Disk { dir: inner_disk_dir(rest) }),
             "cached" => {
                 let rest = rest.ok_or(ParseSubstrateError::Incomplete("an inner substrate"))?;
@@ -133,7 +145,7 @@ impl std::str::FromStr for SubstrateSpec {
                     None => (inner, None),
                 };
                 match ik.trim().to_ascii_lowercase().as_str() {
-                    "host" => Ok(SubstrateSpec::CachedHost { capacity_blocks }),
+                    "host" => host(irest).map(|_| SubstrateSpec::CachedHost { capacity_blocks }),
                     "disk" => Ok(SubstrateSpec::CachedDisk {
                         dir: inner_disk_dir(irest),
                         capacity_blocks,
@@ -154,7 +166,7 @@ impl std::str::FromStr for SubstrateSpec {
                     None => (inner, None),
                 };
                 match ik.trim().to_ascii_lowercase().as_str() {
-                    "host" => Ok(SubstrateSpec::ShardedHost { shards }),
+                    "host" => host(irest).map(|_| SubstrateSpec::ShardedHost { shards }),
                     "disk" => Ok(SubstrateSpec::ShardedDisk { dir: inner_disk_dir(irest), shards }),
                     other => Err(ParseSubstrateError::UnknownInner(other.to_string())),
                 }
@@ -174,9 +186,10 @@ impl SubstrateSpec {
         }
     }
 
-    /// The substrate label this spec builds — the same string
-    /// [`AnySubstrate::label`] reports, and the conventional key for a
-    /// per-substrate cost profile (`oblidb_core::CostProfile::named`).
+    /// A short label for the stack this spec builds ("host", "disk",
+    /// "cached-disk", …): the substrate column in reports, and the
+    /// conventional key for a per-substrate cost profile
+    /// (`oblidb_core::CostProfile::named`).
     pub fn profile_name(&self) -> &'static str {
         match self {
             SubstrateSpec::Host => "host",
@@ -213,10 +226,10 @@ impl SubstrateSpec {
                 format!("substrate spec '{what}' has no persisted state to reopen"),
             )
         };
-        Ok(match self {
-            SubstrateSpec::Disk { dir: Some(d) } => AnySubstrate::Disk(DiskMemory::open(d)?),
+        let m: AnySubstrate = match self {
+            SubstrateSpec::Disk { dir: Some(d) } => Box::new(DiskMemory::open(d)?),
             SubstrateSpec::CachedDisk { dir: Some(d), capacity_blocks } => {
-                AnySubstrate::CachedDisk(CachedMemory::new(DiskMemory::open(d)?, *capacity_blocks))
+                Box::new(CachedMemory::new(DiskMemory::open(d)?, *capacity_blocks))
             }
             SubstrateSpec::ShardedDisk { dir: Some(d), shards } => {
                 let mut inners = Vec::with_capacity(*shards);
@@ -224,7 +237,7 @@ impl SubstrateSpec {
                     inners.push(DiskMemory::open(d.join(format!("shard-{i}")))?);
                 }
                 let slots: Vec<usize> = inners.iter().map(DiskMemory::region_slots).collect();
-                AnySubstrate::ShardedDisk(ShardedMemory::reattach(inners, &slots))
+                Box::new(ShardedMemory::reattach(inners, &slots))
             }
             SubstrateSpec::Disk { dir: None }
             | SubstrateSpec::CachedDisk { dir: None, .. }
@@ -232,22 +245,23 @@ impl SubstrateSpec {
                 return Err(nothing_durable("disk (temp dir)"));
             }
             other => return Err(nothing_durable(other.profile_name())),
-        })
+        };
+        Ok(m)
     }
 
     /// Builds the substrate this spec describes.
     pub fn build(&self) -> std::io::Result<AnySubstrate> {
-        Ok(match self {
-            SubstrateSpec::Host => AnySubstrate::Host(Host::new()),
-            SubstrateSpec::Disk { dir } => AnySubstrate::Disk(disk(dir)?),
+        let m: AnySubstrate = match self {
+            SubstrateSpec::Host => Box::new(Host::new()),
+            SubstrateSpec::Disk { dir } => Box::new(disk(dir)?),
             SubstrateSpec::CachedHost { capacity_blocks } => {
-                AnySubstrate::CachedHost(CachedMemory::new(Host::new(), *capacity_blocks))
+                Box::new(CachedMemory::new(Host::new(), *capacity_blocks))
             }
             SubstrateSpec::CachedDisk { dir, capacity_blocks } => {
-                AnySubstrate::CachedDisk(CachedMemory::new(disk(dir)?, *capacity_blocks))
+                Box::new(CachedMemory::new(disk(dir)?, *capacity_blocks))
             }
             SubstrateSpec::ShardedHost { shards } => {
-                AnySubstrate::ShardedHost(ShardedMemory::from_fn(*shards, |_| Host::new()))
+                Box::new(ShardedMemory::from_fn(*shards, |_| Host::new()))
             }
             SubstrateSpec::ShardedDisk { dir, shards } => {
                 let mut inners = Vec::with_capacity(*shards);
@@ -257,9 +271,10 @@ impl SubstrateSpec {
                         None => DiskMemory::temp()?,
                     });
                 }
-                AnySubstrate::ShardedDisk(ShardedMemory::new(inners))
+                Box::new(ShardedMemory::new(inners))
             }
-        })
+        };
+        Ok(m)
     }
 }
 
@@ -270,214 +285,12 @@ fn disk(dir: &Option<PathBuf>) -> std::io::Result<DiskMemory> {
     }
 }
 
-/// A runtime-selected [`EnclaveMemory`]: the closed set of substrate
-/// stacks the engine ships, behind one concrete type so `Database` keeps
-/// a single instantiation per binary while the backend comes from
-/// configuration. Built by [`SubstrateSpec::build`].
-#[allow(clippy::large_enum_variant)]
-pub enum AnySubstrate {
-    /// In-RAM host.
-    Host(Host),
-    /// Disk-backed.
-    Disk(DiskMemory),
-    /// LRU cache over an in-RAM host.
-    CachedHost(CachedMemory<Host>),
-    /// LRU cache over disk.
-    CachedDisk(CachedMemory<DiskMemory>),
-    /// Round-robin shards of in-RAM hosts.
-    ShardedHost(ShardedMemory<Host>),
-    /// Round-robin shards of disk substrates.
-    ShardedDisk(ShardedMemory<DiskMemory>),
-}
-
-macro_rules! dispatch {
-    ($self:expr, $m:ident => $body:expr) => {
-        match $self {
-            AnySubstrate::Host($m) => $body,
-            AnySubstrate::Disk($m) => $body,
-            AnySubstrate::CachedHost($m) => $body,
-            AnySubstrate::CachedDisk($m) => $body,
-            AnySubstrate::ShardedHost($m) => $body,
-            AnySubstrate::ShardedDisk($m) => $body,
-        }
-    };
-}
-
-impl AnySubstrate {
-    /// A short label for reports ("host", "disk", "cached-disk", …).
-    pub fn label(&self) -> &'static str {
-        match self {
-            AnySubstrate::Host(_) => "host",
-            AnySubstrate::Disk(_) => "disk",
-            AnySubstrate::CachedHost(_) => "cached-host",
-            AnySubstrate::CachedDisk(_) => "cached-disk",
-            AnySubstrate::ShardedHost(_) => "sharded-host",
-            AnySubstrate::ShardedDisk(_) => "sharded-disk",
-        }
-    }
-
-    /// Sets the simulated per-crossing cost on the layer that models the
-    /// enclave boundary, so substrate costs calibrate on the same axis as
-    /// [`Host::set_crossing_cost`]. For cached substrates that is the
-    /// *wrapper only*: a miss's inner fetch is a host-side cache fill,
-    /// not a second enclave transition, so the inner substrate stays at
-    /// its real (unspun) cost.
-    pub fn set_crossing_cost(&mut self, spins: u32) {
-        match self {
-            AnySubstrate::Host(h) => h.set_crossing_cost(spins),
-            AnySubstrate::Disk(d) => d.set_crossing_cost(spins),
-            AnySubstrate::CachedHost(c) => c.set_crossing_cost(spins),
-            AnySubstrate::CachedDisk(c) => c.set_crossing_cost(spins),
-            AnySubstrate::ShardedHost(s) => {
-                for i in 0..s.shard_count() {
-                    s.shard_mut(i).set_crossing_cost(spins);
-                }
-            }
-            AnySubstrate::ShardedDisk(s) => {
-                for i in 0..s.shard_count() {
-                    s.shard_mut(i).set_crossing_cost(spins);
-                }
-            }
-        }
-    }
-
-    /// Sets the simulated per-crossing *stall* (worker blocked on the
-    /// boundary transition, e.g. OCALL service time) on the layer that
-    /// models the enclave boundary — same layer selection as
-    /// [`AnySubstrate::set_crossing_cost`]. Stalls, unlike spins, overlap
-    /// across parallel workers, which is what the parallel bench prices.
-    pub fn set_crossing_stall(&mut self, nanos: u64) {
-        match self {
-            AnySubstrate::Host(h) => h.set_crossing_stall(nanos),
-            AnySubstrate::Disk(d) => d.set_crossing_stall(nanos),
-            AnySubstrate::CachedHost(c) => c.set_crossing_stall(nanos),
-            AnySubstrate::CachedDisk(c) => c.set_crossing_stall(nanos),
-            AnySubstrate::ShardedHost(s) => {
-                for i in 0..s.shard_count() {
-                    s.shard_mut(i).set_crossing_stall(nanos);
-                }
-            }
-            AnySubstrate::ShardedDisk(s) => {
-                for i in 0..s.shard_count() {
-                    s.shard_mut(i).set_crossing_stall(nanos);
-                }
-            }
-        }
-    }
-
-    /// Cache counters when this substrate has a cache layer.
-    pub fn cache_stats(&self) -> Option<crate::CacheStats> {
-        match self {
-            AnySubstrate::CachedHost(c) => Some(c.cache_stats()),
-            AnySubstrate::CachedDisk(c) => Some(c.cache_stats()),
-            _ => None,
-        }
-    }
-
-    /// The inner (backing) substrate's counters when this substrate has a
-    /// cache layer: the traffic that survived cache absorption.
-    pub fn backing_stats(&self) -> Option<HostStats> {
-        match self {
-            AnySubstrate::CachedHost(c) => Some(c.inner().stats()),
-            AnySubstrate::CachedDisk(c) => Some(c.inner().stats()),
-            _ => None,
-        }
-    }
-}
-
-impl EnclaveMemory for AnySubstrate {
-    fn alloc_region(&mut self, blocks: usize, block_size: usize) -> Result<RegionId, HostError> {
-        dispatch!(self, m => m.alloc_region(blocks, block_size))
-    }
-
-    fn free_region(&mut self, region: RegionId) -> Result<(), HostError> {
-        dispatch!(self, m => m.free_region(region))
-    }
-
-    fn grow_region(&mut self, region: RegionId, new_blocks: usize) -> Result<(), HostError> {
-        dispatch!(self, m => m.grow_region(region, new_blocks))
-    }
-
-    fn region_len(&self, region: RegionId) -> Result<u64, HostError> {
-        dispatch!(self, m => m.region_len(region))
-    }
-
-    fn region_block_size(&self, region: RegionId) -> Result<usize, HostError> {
-        dispatch!(self, m => m.region_block_size(region))
-    }
-
-    fn read(&mut self, region: RegionId, index: u64) -> Result<&[u8], HostError> {
-        dispatch!(self, m => m.read(region, index))
-    }
-
-    fn write(&mut self, region: RegionId, index: u64, data: &[u8]) -> Result<(), HostError> {
-        dispatch!(self, m => m.write(region, index, data))
-    }
-
-    fn read_blocks(
-        &mut self,
-        region: RegionId,
-        start: u64,
-        count: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), HostError> {
-        dispatch!(self, m => m.read_blocks(region, start, count, out))
-    }
-
-    fn read_blocks_at(
-        &mut self,
-        region: RegionId,
-        indices: &[u64],
-        out: &mut Vec<u8>,
-    ) -> Result<(), HostError> {
-        dispatch!(self, m => m.read_blocks_at(region, indices, out))
-    }
-
-    fn write_blocks(&mut self, region: RegionId, start: u64, data: &[u8]) -> Result<(), HostError> {
-        dispatch!(self, m => m.write_blocks(region, start, data))
-    }
-
-    fn write_blocks_at(
-        &mut self,
-        region: RegionId,
-        indices: &[u64],
-        data: &[u8],
-    ) -> Result<(), HostError> {
-        dispatch!(self, m => m.write_blocks_at(region, indices, data))
-    }
-
-    fn start_trace(&mut self) {
-        dispatch!(self, m => m.start_trace())
-    }
-
-    fn take_trace(&mut self) -> Trace {
-        dispatch!(self, m => m.take_trace())
-    }
-
-    fn tracing(&self) -> bool {
-        dispatch!(self, m => m.tracing())
-    }
-
-    fn stats(&self) -> HostStats {
-        dispatch!(self, m => m.stats())
-    }
-
-    fn reset_stats(&mut self) {
-        dispatch!(self, m => m.reset_stats())
-    }
-
-    fn retains_payloads(&self) -> bool {
-        dispatch!(self, m => m.retains_payloads())
-    }
-
-    fn sync(&mut self) -> Result<(), HostError> {
-        dispatch!(self, m => m.sync())
-    }
-
-    fn sync_region(&mut self, region: RegionId) -> Result<(), HostError> {
-        dispatch!(self, m => m.sync_region(region))
-    }
-}
+/// A runtime-selected substrate stack: any [`EnclaveMemory`] the engine
+/// ships, boxed so `Database<AnySubstrate>` stays one instantiation per
+/// binary while the stack comes from configuration. Built by
+/// [`SubstrateSpec::build`] and [`SubstrateSpec::open`]; price its
+/// boundary with [`EnclaveMemory::set_crossing_cost`].
+pub type AnySubstrate = Box<dyn EnclaveMemory + Send>;
 
 #[cfg(test)]
 mod tests {
@@ -485,7 +298,7 @@ mod tests {
 
     fn roundtrip(spec: &SubstrateSpec) {
         let mut m = spec.build().unwrap();
-        let label = m.label();
+        let label = spec.profile_name();
         let r = m.alloc_region(4, 8).unwrap();
         m.write(r, 2, &[5u8; 8]).unwrap();
         if m.retains_payloads() {
@@ -562,27 +375,19 @@ mod tests {
             "cached".parse::<SubstrateSpec>(),
             Err(ParseSubstrateError::Incomplete(_))
         ));
+        // An in-RAM host takes no directory: trailing text is an error,
+        // not a silently dropped path.
+        for text in ["host:/data", "cached:host:/data", "sharded:2:host:/data"] {
+            assert!(
+                matches!(
+                    text.parse::<SubstrateSpec>(),
+                    Err(ParseSubstrateError::UnexpectedText(t)) if t == "/data"
+                ),
+                "{text}"
+            );
+        }
         // Errors render a usable hint.
         let msg = "floppy".parse::<SubstrateSpec>().unwrap_err().to_string();
         assert!(msg.contains("expected host | disk"), "{msg}");
-    }
-
-    #[test]
-    fn profile_names_match_labels() {
-        for text in ["host", "disk", "cached:host", "cached:disk", "sharded:2:host"] {
-            let spec: SubstrateSpec = text.parse().unwrap();
-            let built = spec.build().unwrap();
-            assert_eq!(spec.profile_name(), built.label(), "{text}");
-        }
-    }
-
-    #[test]
-    fn labels_and_cache_accessors() {
-        let m = SubstrateSpec::CachedDisk { dir: None, capacity_blocks: 4 }.build().unwrap();
-        assert_eq!(m.label(), "cached-disk");
-        assert_eq!(m.cache_stats(), Some(crate::CacheStats::default()));
-        assert_eq!(m.backing_stats(), Some(HostStats::default()));
-        let h = SubstrateSpec::Host.build().unwrap();
-        assert!(h.cache_stats().is_none());
     }
 }

@@ -128,27 +128,6 @@ impl<M: EnclaveMemory> CachedMemory<M> {
         self.entries.len()
     }
 
-    /// Sets the simulated per-crossing cost of the *logical* boundary
-    /// (every cached or uncached access still crosses it once); see
-    /// [`Host::set_crossing_cost`](oblidb_enclave::Host::set_crossing_cost).
-    /// Preserved across [`EnclaveMemory::reset_stats`].
-    pub fn set_crossing_cost(&mut self, spins: u32) {
-        self.crossing.spins = spins;
-    }
-
-    /// Sets the simulated per-crossing stall of the *logical* boundary;
-    /// see [`Host::set_crossing_stall`](oblidb_enclave::Host::set_crossing_stall).
-    /// Preserved across [`EnclaveMemory::reset_stats`].
-    pub fn set_crossing_stall(&mut self, nanos: u64) {
-        self.crossing.stall_nanos = nanos;
-    }
-
-    fn cross(stats: &mut HostStats, cost: CrossingCost) {
-        stats.crossings += 1;
-        stats.stall_nanos += cost.stall_nanos;
-        cost.pay();
-    }
-
     fn record(&mut self, region: RegionId, index: u64, kind: AccessKind) {
         if let Some(t) = &mut self.trace {
             t.push(AccessEvent { region, index, kind });
@@ -318,7 +297,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
                 // batch buffer cannot express): the per-block path.
                 let payload = self.load(key)?;
                 if !crossed {
-                    Self::cross(&mut self.stats, self.crossing);
+                    self.crossing.cross(&mut self.stats);
                     crossed = true;
                 }
                 out.extend_from_slice(&self.entries[&key].data);
@@ -349,7 +328,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
                         self.cache_stats.misses += 1;
                         self.install((region, j_index), chunk.to_vec(), false)?;
                         if !crossed {
-                            Self::cross(&mut self.stats, self.crossing);
+                            self.crossing.cross(&mut self.stats);
                             crossed = true;
                         }
                         out.extend_from_slice(chunk);
@@ -372,7 +351,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
                         }
                         let payload = self.load((region, j_index))?;
                         if !crossed {
-                            Self::cross(&mut self.stats, self.crossing);
+                            self.crossing.cross(&mut self.stats);
                             crossed = true;
                         }
                         out.extend_from_slice(&self.entries[&(region, j_index)].data);
@@ -409,7 +388,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
             }
             self.install((region, index), chunk.to_vec(), true)?;
             if !crossed {
-                Self::cross(&mut self.stats, self.crossing);
+                self.crossing.cross(&mut self.stats);
                 crossed = true;
             }
             self.stats.writes += 1;
@@ -490,7 +469,7 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
         }
         let key = (region, index);
         let payload = self.load(key)?;
-        Self::cross(&mut self.stats, self.crossing);
+        self.crossing.cross(&mut self.stats);
         self.stats.reads += 1;
         self.stats.bytes_read += payload as u64;
         Ok(&self.entries[&key].data)
@@ -507,7 +486,7 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
             return Err(HostError::OutOfBounds { region, index, len });
         }
         self.install((region, index), data.to_vec(), true)?;
-        Self::cross(&mut self.stats, self.crossing);
+        self.crossing.cross(&mut self.stats);
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         Ok(())
@@ -602,6 +581,14 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
     fn sync_region(&mut self, region: RegionId) -> Result<(), HostError> {
         self.flush_dirty(Some(region))?;
         self.inner.sync_region(region)
+    }
+
+    /// Prices the *logical* boundary only: every cached or uncached access
+    /// crosses it once, while a miss's inner fetch is a host-side cache
+    /// fill, not a second enclave transition, so the inner substrate keeps
+    /// its own (normally zero) price.
+    fn set_crossing_cost(&mut self, cost: CrossingCost) {
+        self.crossing = cost;
     }
 }
 

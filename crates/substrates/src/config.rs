@@ -13,7 +13,7 @@
 //! * `substrate` — a [`SubstrateSpec`] string (`host`, `disk:/path`,
 //!   `cached:512:disk:/path`, `sharded:4:host`, ...).
 //! * `crossing_cost` — simulated SGX transition cost in spin iterations,
-//!   applied via `AnySubstrate::set_crossing_cost`.
+//!   applied via `EnclaveMemory::set_crossing_cost`.
 //! * `threads` — worker count for parallel execution (a positive
 //!   integer; `1` = serial), the file-based form of `OBLIDB_THREADS`.
 //!
@@ -21,6 +21,8 @@
 //! loudly at startup, never silently fall back to defaults.
 
 use std::path::Path;
+
+use oblidb_enclave::{CrossingCost, EnclaveMemory};
 
 use crate::{AnySubstrate, ParseSubstrateError, SubstrateSpec};
 
@@ -41,7 +43,7 @@ impl SubstrateConfig {
     pub fn build(&self) -> std::io::Result<AnySubstrate> {
         let mut m = self.spec.build()?;
         if let Some(spins) = self.crossing_cost {
-            m.set_crossing_cost(spins);
+            m.set_crossing_cost(CrossingCost { spins, stall_nanos: 0 });
         }
         Ok(m)
     }

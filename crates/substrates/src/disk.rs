@@ -353,32 +353,6 @@ impl DiskMemory {
         self.regions.len()
     }
 
-    /// Sets the simulated per-crossing cost, exactly as
-    /// [`Host::set_crossing_cost`](oblidb_enclave::Host::set_crossing_cost):
-    /// every boundary transition additionally executes `spins` spin-loop
-    /// iterations. Disk already pays real I/O latency; the spin models the
-    /// SGX transition on top, so Host/disk/cached costs calibrate on the
-    /// same axis. Preserved across [`EnclaveMemory::reset_stats`].
-    pub fn set_crossing_cost(&mut self, spins: u32) {
-        self.crossing.spins = spins;
-    }
-
-    /// Sets the simulated per-crossing *stall*, exactly as
-    /// [`Host::set_crossing_stall`](oblidb_enclave::Host::set_crossing_stall):
-    /// every boundary transition additionally sleeps for `nanos`
-    /// nanoseconds, modelling OCALL service time the worker spends
-    /// blocked rather than computing. Preserved across
-    /// [`EnclaveMemory::reset_stats`].
-    pub fn set_crossing_stall(&mut self, nanos: u64) {
-        self.crossing.stall_nanos = nanos;
-    }
-
-    fn cross(stats: &mut HostStats, cost: CrossingCost) {
-        stats.crossings += 1;
-        stats.stall_nanos += cost.stall_nanos;
-        cost.pay();
-    }
-
     fn region(&self, region: RegionId) -> Result<&DiskRegion, HostError> {
         self.regions
             .get(region.0 as usize)
@@ -507,7 +481,7 @@ impl EnclaveMemory for DiskMemory {
         r.file
             .read_exact_at(scratch, index * r.block_size as u64)
             .map_err(|e| HostError::io(&e, Some(region), IoOp::Read))?;
-        Self::cross(stats, cost);
+        cost.cross(stats);
         stats.reads += 1;
         stats.bytes_read += r.block_size as u64;
         Ok(&self.scratch[..])
@@ -536,7 +510,7 @@ impl EnclaveMemory for DiskMemory {
             .map_err(|e| HostError::io(&e, Some(region), IoOp::Write))?;
         r.mark_written(index);
         Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, index);
-        Self::cross(stats, cost);
+        cost.cross(stats);
         stats.writes += 1;
         stats.bytes_written += data.len() as u64;
         Ok(())
@@ -587,7 +561,7 @@ impl EnclaveMemory for DiskMemory {
             r.file
                 .read_exact_at(out, start * r.block_size as u64)
                 .map_err(|e| HostError::io(&e, Some(region), IoOp::Read))?;
-            Self::cross(stats, cost);
+            cost.cross(stats);
             stats.reads += valid as u64;
             stats.bytes_read += (valid * r.block_size) as u64;
         }
@@ -622,7 +596,7 @@ impl EnclaveMemory for DiskMemory {
                 return Err(HostError::EmptyBlock(region, index));
             }
             if !crossed {
-                Self::cross(stats, cost);
+                cost.cross(stats);
                 crossed = true;
             }
             let at = out.len();
@@ -676,7 +650,7 @@ impl EnclaveMemory for DiskMemory {
             for word in (start / 64)..=((start + valid as u64 - 1) / 64) {
                 Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, word * 64);
             }
-            Self::cross(stats, cost);
+            cost.cross(stats);
             stats.writes += valid as u64;
             stats.bytes_written += (valid * block_size) as u64;
         }
@@ -720,7 +694,7 @@ impl EnclaveMemory for DiskMemory {
             r.mark_written(index);
             Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, index);
             if !crossed {
-                Self::cross(stats, cost);
+                cost.cross(stats);
                 crossed = true;
             }
             stats.writes += 1;
@@ -773,6 +747,12 @@ impl EnclaveMemory for DiskMemory {
         let r = self.region(region)?;
         r.file.sync_data().map_err(|e| HostError::io(&e, Some(region), IoOp::Sync))?;
         self.write_meta()
+    }
+
+    /// Disk already pays real I/O latency; the price models the SGX
+    /// transition on top, so host and disk costs calibrate on one axis.
+    fn set_crossing_cost(&mut self, cost: CrossingCost) {
+        self.crossing = cost;
     }
 }
 

@@ -20,8 +20,7 @@
 //!   substrates, with per-shard counters. The placement prerequisite for
 //!   concurrent query execution over multiple backing stores.
 //! * [`AnySubstrate`] + [`SubstrateSpec`] — runtime substrate selection:
-//!   one enum type implementing
-//!   [`EnclaveMemory`](oblidb_enclave::EnclaveMemory), so a single
+//!   a boxed stack (`Box<dyn EnclaveMemory + Send>`), so a single
 //!   `Database<AnySubstrate>` can open over any backend chosen from
 //!   configuration.
 //!

@@ -1,7 +1,8 @@
 //! Region routing across multiple inner substrates.
 
 use oblidb_enclave::{
-    AccessEvent, AccessKind, EnclaveMemory, HostError, HostStats, RegionId, ThreadPool, Trace,
+    AccessEvent, AccessKind, CrossingCost, EnclaveMemory, HostError, HostStats, RegionId,
+    ThreadPool, Trace,
 };
 
 /// Routes regions round-robin across N inner [`EnclaveMemory`] shards —
@@ -65,11 +66,6 @@ impl<M: EnclaveMemory> ShardedMemory<M> {
         ShardedMemory { shards, regions, next_shard: total % n, trace: None }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// One shard's counters: the traffic (block accesses, bytes, boundary
     /// crossings) that routing sent its way.
     pub fn shard_stats(&self, shard: usize) -> HostStats {
@@ -79,13 +75,6 @@ impl<M: EnclaveMemory> ShardedMemory<M> {
     /// The shards themselves (e.g. to read disk paths or cache stats).
     pub fn shards(&self) -> &[M] {
         &self.shards
-    }
-
-    /// Mutable access to one shard, for substrate-level configuration
-    /// (crossing costs etc.). Block I/O through this bypasses the global
-    /// trace.
-    pub fn shard_mut(&mut self, shard: usize) -> &mut M {
-        &mut self.shards[shard]
     }
 
     fn resolve(&self, region: RegionId) -> Result<(usize, RegionId), HostError> {
@@ -161,7 +150,7 @@ impl<M: EnclaveMemory> ShardedMemory<M> {
     /// worker is joined with the rest, then its panic propagates.
     ///
     /// Block I/O through the shard handles bypasses the wrapper's global
-    /// trace, exactly like [`ShardedMemory::shard_mut`]. In this mode the
+    /// trace. In this mode the
     /// adversary's view is the set of per-shard traces (each shard's own
     /// `start_trace`/`take_trace`), and each of those is unchanged from a
     /// serial drive of the same per-shard work — only the interleaving
@@ -348,6 +337,13 @@ impl<M: EnclaveMemory> EnclaveMemory for ShardedMemory<M> {
     fn sync_region(&mut self, region: RegionId) -> Result<(), HostError> {
         let (shard, inner) = self.resolve(region)?;
         self.shards[shard].sync_region(inner).map_err(|e| Self::retag(region, e))
+    }
+
+    /// Every shard sits behind the boundary, so every shard pays the price.
+    fn set_crossing_cost(&mut self, cost: CrossingCost) {
+        for s in &mut self.shards {
+            s.set_crossing_cost(cost);
+        }
     }
 }
 

@@ -19,6 +19,7 @@
 //! picks Small (fewest boundary crossings).
 
 use oblidb::core::{CostProfile, DbConfig, ExecConfig};
+use oblidb::enclave::{CrossingCost, EnclaveMemory};
 use oblidb::substrates::SubstrateSpec;
 
 fn main() {
@@ -55,7 +56,7 @@ fn main() {
     let config = DbConfig { om_bytes: 128, exec, ..DbConfig::default() };
     let mut db = oblidb::database_on_calibrated(&spec, config).expect("substrate builds");
     if let Some(spins) = crossing_cost {
-        db.host_mut().set_crossing_cost(spins);
+        db.host_mut().set_crossing_cost(CrossingCost { spins, stall_nanos: 0 });
     }
 
     db.execute("CREATE TABLE events (id INT, kind INT, size INT) CAPACITY 512").unwrap();

@@ -102,9 +102,8 @@ fn engine_equivalence_across_substrates() {
         SubstrateSpec::ShardedDisk { dir: None, shards: 2 },
     ];
     for spec in specs {
-        let substrate = spec.build().unwrap();
-        let label = substrate.label();
-        let mut db = Database::with_memory(substrate, wal_db_config());
+        let label = spec.profile_name();
+        let mut db = Database::with_memory(spec.build().unwrap(), wal_db_config());
         let (results, wal) = mixed_workload(&mut db, N);
         assert_eq!(host_results, results, "{label}: query results must be byte-identical");
         assert_eq!(host_wal, wal, "{label}: WAL transcripts must match");
@@ -263,8 +262,8 @@ fn explicit_disk_dir_survives_engine_drop() {
     );
 }
 
-/// Payload-free guards still work through `AnySubstrate` dispatch, and
-/// stats surface uniformly across the substrate families.
+/// Stats surface uniformly through the boxed `AnySubstrate` stack across
+/// the substrate families.
 #[test]
 fn any_substrate_stats_surface_uniformly() {
     let specs = [
@@ -283,7 +282,7 @@ fn any_substrate_stats_surface_uniformly() {
         db.host_mut().reset_stats();
         db.execute("SELECT * FROM t WHERE k < 4").unwrap();
         let m: &mut AnySubstrate = db.host_mut();
-        reports.push(m.stats().report(m.label()));
+        reports.push(m.stats().report(spec.profile_name()));
     }
     // Same workload, same logical counters — whatever the substrate.
     for r in &reports[1..] {
