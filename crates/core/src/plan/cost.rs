@@ -20,6 +20,20 @@
 //! on the true match count ([`crate::exec::select_small`]) is replayed by
 //! a size-parameterized skeleton instead (matches are public: the
 //! planner's preliminary scan already leaked them).
+//!
+//! Pruning: the choosers are branch and bound. Candidates run in
+//! admission order; each one after the first runs on a `CountingMemory`
+//! whose ceiling is the best complete cost so far, weighed with exactly
+//! [`CostProfile::weigh`] after every counted call. A candidate whose
+//! running cost passes that ceiling can no longer win, so its dry run stops
+//! there and its entry is kept, marked
+//! [`pruned`](super::Candidate::pruned), with the counts at the stop: a
+//! lower bound on its full cost. `EXPLAIN` prints such an entry as
+//! `ZeroOm>62140.0` rather than `ZeroOm=…`. The chosen operator and its
+//! estimate are exactly those of [`simulate_select`] / [`simulate_join`]
+//! run on every candidate; those stay the exhaustive entry points and are
+//! the same code with no ceiling. The stop point depends only on the
+//! public shape and the profile, so planning time leaks nothing new.
 
 use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{CountingMemory, EnclaveMemory, EnclaveRng, HostStats, OmBudget};
@@ -31,7 +45,7 @@ use crate::predicate::Predicate;
 use crate::table::FlatTable;
 use crate::types::Schema;
 
-use super::{CandidateCost, JoinCandidateCost, NodeCost};
+use super::{Candidate, CandidateCost, JoinCandidateCost, NodeCost};
 
 /// Per-substrate operator pricing, in units of one in-RAM block access.
 ///
@@ -191,6 +205,18 @@ impl CostProfile {
         })
     }
 
+    /// Whether [`CostProfile::weigh`] never falls as a count grows: every
+    /// weight is finite and non-negative. Only then may the planner stop a
+    /// dry run once it passes the best cost so far. The stock profiles,
+    /// [`CostProfile::from_text`] and [`CostProfile::calibrate`] always
+    /// qualify; [`CostProfile::new`] does not check its weights.
+    pub(crate) fn is_monotone(&self) -> bool {
+        [self.read_block, self.write_block, self.crossing]
+            .iter()
+            .all(|w| w.is_finite() && *w >= 0.0)
+            && self.parallel_block_fraction.is_finite()
+    }
+
     /// Weighs counted accesses into one scalar cost.
     ///
     /// With `threads > 1`, per-block work shrinks by the Amdahl factor
@@ -339,55 +365,85 @@ impl std::fmt::Debug for SelectShape {
 /// its pattern is replayed by a size-parameterized skeleton from the (public) match
 /// count instead.
 pub fn simulate_select(algo: SelectAlgo, shape: &SelectShape) -> Result<HostStats, DbError> {
+    Ok(dry_run_select(algo, shape, None)?.stats)
+}
+
+/// [`simulate_select`], optionally stopped once its weighted cost passes
+/// a ceiling (see [`dry_run`]).
+fn dry_run_select(
+    algo: SelectAlgo,
+    shape: &SelectShape,
+    ceiling: Option<(&CostProfile, f64)>,
+) -> Result<DryRun, DbError> {
     let mut mem = CountingMemory::new();
     let mut input =
         FlatTable::create(&mut mem, AeadKey([0x5A; 32]), shape.schema.clone(), shape.capacity)?;
-    mem.reset_stats();
     let om = OmBudget::new(shape.om_bytes);
     // On a payload-free substrate no row ever matches, which is exactly
     // what makes the dry run cheap: every remaining algorithm's access
     // pattern is independent of which rows match.
     let pred = Predicate::True;
-    match algo {
-        SelectAlgo::Small => small_pattern(&mut mem, &om, &mut input, shape)?,
-        SelectAlgo::Large => {
-            exec::select_large(&mut mem, &mut input, &pred, shape.out_key.clone())?;
+    let key = shape.out_key.clone();
+    dry_run(&mut mem, ceiling, |mem| {
+        match algo {
+            SelectAlgo::Small => small_pattern(mem, &om, &mut input, shape)?,
+            SelectAlgo::Large => {
+                exec::select_large(mem, &mut input, &pred, key)?;
+            }
+            SelectAlgo::Continuous => {
+                exec::select_continuous(mem, &mut input, &pred, key, shape.matches)?;
+            }
+            SelectAlgo::Hash => {
+                exec::select_hash(mem, &mut input, &pred, key, shape.matches)?;
+            }
+            SelectAlgo::Naive => {
+                exec::select_naive(
+                    mem,
+                    &om,
+                    &mut input,
+                    &pred,
+                    key,
+                    shape.matches,
+                    EnclaveRng::seed_from_u64(0x0B11_D0DE),
+                )?;
+            }
+            SelectAlgo::Padded => {
+                exec::select::select_padded(mem, &om, &mut input, &pred, key, shape.matches)?;
+            }
         }
-        SelectAlgo::Continuous => {
-            exec::select_continuous(
-                &mut mem,
-                &mut input,
-                &pred,
-                shape.out_key.clone(),
-                shape.matches,
-            )?;
-        }
-        SelectAlgo::Hash => {
-            exec::select_hash(&mut mem, &mut input, &pred, shape.out_key.clone(), shape.matches)?;
-        }
-        SelectAlgo::Naive => {
-            exec::select_naive(
-                &mut mem,
-                &om,
-                &mut input,
-                &pred,
-                shape.out_key.clone(),
-                shape.matches,
-                EnclaveRng::seed_from_u64(0x0B11_D0DE),
-            )?;
-        }
-        SelectAlgo::Padded => {
-            exec::select::select_padded(
-                &mut mem,
-                &om,
-                &mut input,
-                &pred,
-                shape.out_key.clone(),
-                shape.matches,
-            )?;
-        }
+        Ok(())
+    })
+}
+
+/// The counts of one dry run, and whether its ceiling stopped it early.
+struct DryRun {
+    stats: HostStats,
+    pruned: bool,
+}
+
+/// Runs `op` over `mem` (whose inputs are already laid out) and returns
+/// the accesses it counted. With a `ceiling`, `mem` latches once the
+/// running cost, weighed by exactly [`CostProfile::weigh`], is strictly
+/// greater than the ceiling's limit. The call that passed it fails, so
+/// the run stops there and reports the counts at that call, marked
+/// pruned. Whether it was pruned is read from the memory's latch, never
+/// from the error the operator passed up.
+fn dry_run(
+    mem: &mut CountingMemory,
+    ceiling: Option<(&CostProfile, f64)>,
+    op: impl FnOnce(&mut CountingMemory) -> Result<(), DbError>,
+) -> Result<DryRun, DbError> {
+    mem.reset_stats();
+    if let Some((profile, limit)) = ceiling {
+        let profile = profile.clone();
+        mem.set_ceiling(limit, move |stats| profile.weigh(stats));
     }
-    Ok(mem.stats())
+    let outcome = op(mem);
+    let pruned = mem.ceiling_exceeded();
+    if !pruned {
+        outcome?;
+    }
+    Ok(DryRun { stats: mem.stats(), pruned })
 }
 
 /// Replays [`exec::select_small`]'s access pattern from public sizes: the
@@ -442,6 +498,16 @@ pub struct JoinShape {
 /// dummy tables of the same shape — every access either side makes is a
 /// function of the two capacities and the budget alone.
 pub fn simulate_join(algo: JoinAlgo, shape: &JoinShape) -> Result<HostStats, DbError> {
+    Ok(dry_run_join(algo, shape, None)?.stats)
+}
+
+/// [`simulate_join`], optionally stopped once its weighted cost passes a
+/// ceiling (see [`dry_run`]).
+fn dry_run_join(
+    algo: JoinAlgo,
+    shape: &JoinShape,
+    ceiling: Option<(&CostProfile, f64)>,
+) -> Result<DryRun, DbError> {
     let mut mem = CountingMemory::new();
     let mut t1 = FlatTable::create(
         &mut mem,
@@ -455,43 +521,27 @@ pub fn simulate_join(algo: JoinAlgo, shape: &JoinShape) -> Result<HostStats, DbE
         shape.right_schema.clone(),
         shape.right_capacity,
     )?;
-    mem.reset_stats();
     let om = OmBudget::new(shape.om_bytes);
     let key = AeadKey([0x77; 32]);
-    match algo {
-        JoinAlgo::Hash => {
-            exec::hash_join(&mut mem, &om, &mut t1, 0, &mut t2, 0, key)?;
-        }
-        JoinAlgo::Opaque => {
-            exec::sort_merge_join(
-                &mut mem,
-                &om,
-                &mut t1,
-                0,
-                &mut t2,
-                0,
-                key,
-                SortMergeVariant::Opaque,
-            )?;
-        }
-        JoinAlgo::ZeroOm => {
-            exec::sort_merge_join(
-                &mut mem,
-                &om,
-                &mut t1,
-                0,
-                &mut t2,
-                0,
-                key,
-                SortMergeVariant::ZeroOm { scratch_rows: shape.zero_om_scratch_rows },
-            )?;
-        }
-    }
-    Ok(mem.stats())
+    dry_run(&mut mem, ceiling, |mem| {
+        let variant = match algo {
+            JoinAlgo::Hash => {
+                exec::hash_join(mem, &om, &mut t1, 0, &mut t2, 0, key)?;
+                return Ok(());
+            }
+            JoinAlgo::Opaque => SortMergeVariant::Opaque,
+            JoinAlgo::ZeroOm => {
+                SortMergeVariant::ZeroOm { scratch_rows: shape.zero_om_scratch_rows }
+            }
+        };
+        exec::sort_merge_join(mem, &om, &mut t1, 0, &mut t2, 0, key, variant)?;
+        Ok(())
+    })
 }
 
 /// Cost-based SELECT choice: dry-run every admissible candidate, weigh by
 /// `profile`, pick the cheapest (ties break toward the earlier candidate).
+/// Candidates that cannot win are stopped early (see the module docs).
 ///
 /// Candidate admission follows §5's structure, not its formulas:
 /// `Continuous` requires a contiguous result (and the config switch),
@@ -514,18 +564,7 @@ pub fn choose_select_costed(
         candidates.push(SelectAlgo::Large);
     }
     candidates.push(SelectAlgo::Hash);
-
-    let mut costed = Vec::with_capacity(candidates.len());
-    for algo in candidates {
-        let counted = simulate_select(algo, shape)?;
-        costed.push(CandidateCost { algo, cost: NodeCost::from_stats(&counted, profile) });
-    }
-    let best = costed
-        .iter()
-        .min_by(|a, b| a.cost.weighted.total_cmp(&b.cost.weighted))
-        .expect("candidate set is never empty")
-        .algo;
-    Ok((best, costed))
+    branch_and_bound(&candidates, profile, |algo, ceiling| dry_run_select(algo, shape, ceiling))
 }
 
 /// Cost-based JOIN choice, mirroring [`choose_select_costed`]. A zero
@@ -539,16 +578,36 @@ pub fn choose_join_costed(
     } else {
         &[JoinAlgo::Hash, JoinAlgo::Opaque, JoinAlgo::ZeroOm]
     };
-    let mut costed = Vec::with_capacity(candidates.len());
+    branch_and_bound(candidates, profile, |algo, ceiling| dry_run_join(algo, shape, ceiling))
+}
+
+/// Dry-runs `candidates` in order and returns the cheapest with one
+/// costed entry per candidate. Each run after the first is bounded by the
+/// best complete cost so far, so a candidate is stopped (and marked
+/// [`pruned`](Candidate::pruned)) as soon as its running cost is strictly
+/// greater than that best: it can no longer win, and ties still go to the
+/// earlier candidate. The choice and the winner's cost are exactly those
+/// of running every candidate to completion. Pruning needs a cost that
+/// never falls as counts grow, so a profile with a negative or
+/// non-finite weight runs every candidate in full.
+fn branch_and_bound<A: Copy>(
+    candidates: &[A],
+    profile: &CostProfile,
+    mut dry_run: impl FnMut(A, Option<(&CostProfile, f64)>) -> Result<DryRun, DbError>,
+) -> Result<(A, Vec<Candidate<A>>), DbError> {
+    let prune = profile.is_monotone();
+    let mut costed: Vec<Candidate<A>> = Vec::with_capacity(candidates.len());
+    let mut best: Option<(A, f64)> = None;
     for &algo in candidates {
-        let counted = simulate_join(algo, shape)?;
-        costed.push(JoinCandidateCost { algo, cost: NodeCost::from_stats(&counted, profile) });
+        let ceiling = best.filter(|_| prune).map(|(_, limit)| (profile, limit));
+        let run = dry_run(algo, ceiling)?;
+        let cost = NodeCost::from_stats(&run.stats, profile);
+        if !run.pruned && best.is_none_or(|(_, b)| cost.weighted.total_cmp(&b).is_lt()) {
+            best = Some((algo, cost.weighted));
+        }
+        costed.push(Candidate { algo, cost, pruned: run.pruned });
     }
-    let best = costed
-        .iter()
-        .min_by(|a, b| a.cost.weighted.total_cmp(&b.cost.weighted))
-        .expect("candidate set is never empty")
-        .algo;
+    let (best, _) = best.expect("candidate set is never empty");
     Ok((best, costed))
 }
 
@@ -669,6 +728,126 @@ mod tests {
         let (algo, costed) = choose_join_costed(&zero, &CostProfile::host()).unwrap();
         assert_eq!(algo, JoinAlgo::ZeroOm);
         assert_eq!(costed.len(), 1);
+    }
+
+    /// The profiles and OM budgets the bounded choosers are checked under.
+    fn sweep() -> Vec<(CostProfile, usize)> {
+        let profiles = [
+            CostProfile::host(),
+            CostProfile::disk(),
+            CostProfile::uniform(),
+            CostProfile::host().with_threads(4),
+        ];
+        let budgets = [0, 128, 20 << 20];
+        profiles.iter().flat_map(|p| budgets.map(|om| (p.clone(), om))).collect()
+    }
+
+    /// Checks one bounded choice against running every candidate in full:
+    /// same operator, bit-identical winning cost, complete entries exact,
+    /// and every pruned entry above the winner and at most its full cost.
+    /// Returns how many entries were pruned.
+    fn check_against_exhaustive<A: Copy + PartialEq + std::fmt::Debug>(
+        chosen: A,
+        costed: &[Candidate<A>],
+        profile: &CostProfile,
+        simulate: impl Fn(A) -> HostStats,
+    ) -> usize {
+        let full: Vec<NodeCost> =
+            costed.iter().map(|c| NodeCost::from_stats(&simulate(c.algo), profile)).collect();
+        let argmin =
+            (0..full.len()).min_by(|&a, &b| full[a].weighted.total_cmp(&full[b].weighted)).unwrap();
+        let winner = &costed[argmin];
+        assert_eq!(chosen, winner.algo, "{costed:?} vs exhaustive {full:?}");
+        assert!(!winner.pruned);
+        assert_eq!(winner.cost, full[argmin]);
+        assert_eq!(winner.cost.weighted.to_bits(), full[argmin].weighted.to_bits());
+        for (c, f) in costed.iter().zip(&full) {
+            if c.pruned {
+                assert!(c.cost.weighted > winner.cost.weighted, "{c:?} vs {winner:?}");
+                assert!(c.cost.weighted <= f.weighted, "{c:?} vs full {f:?}");
+                assert!(c.cost.blocks() <= f.blocks() && c.cost.crossings <= f.crossings);
+            } else {
+                assert_eq!(c.cost, *f);
+            }
+        }
+        costed.iter().filter(|c| c.pruned).count()
+    }
+
+    #[test]
+    fn bounded_select_choice_equals_exhaustive() {
+        let mut rng = EnclaveRng::seed_from_u64(0x5E1E_C7ED);
+        let cfg = PlannerConfig::default();
+        let mut pruned = 0;
+        for _ in 0..6 {
+            let cap = 1 + rng.below(240);
+            let matches = rng.below(cap + 1);
+            let continuous = rng.below(2) == 0;
+            let stats = SelectStats { matches, continuous };
+            for (profile, om) in sweep() {
+                let s = shape(cap, matches, continuous, om);
+                let (algo, costed) = choose_select_costed(&s, stats, &cfg, &profile).unwrap();
+                pruned += check_against_exhaustive(algo, &costed, &profile, |a| {
+                    simulate_select(a, &s).unwrap()
+                });
+            }
+        }
+        assert!(pruned > 0, "the sweep never exercised a pruned candidate");
+    }
+
+    #[test]
+    fn bounded_join_choice_equals_exhaustive() {
+        let mut rng = EnclaveRng::seed_from_u64(0x0101_7E11);
+        let mut pruned = 0;
+        for _ in 0..4 {
+            let cols = |n: u64| {
+                Schema::new((0..n).map(|i| Column::new(format!("c{i}"), DataType::Int)).collect())
+            };
+            let base = JoinShape {
+                left_schema: cols(1 + rng.below(3)),
+                left_capacity: 1 + rng.below(48),
+                right_schema: cols(1 + rng.below(3)),
+                right_capacity: 1 + rng.below(80),
+                om_bytes: 0,
+                zero_om_scratch_rows: 1,
+            };
+            for (profile, om_bytes) in sweep() {
+                let s = JoinShape { om_bytes, ..base.clone() };
+                let (algo, costed) = choose_join_costed(&s, &profile).unwrap();
+                pruned += check_against_exhaustive(algo, &costed, &profile, |a| {
+                    simulate_join(a, &s).unwrap()
+                });
+            }
+        }
+        assert!(pruned > 0, "the sweep never exercised a pruned candidate");
+    }
+
+    #[test]
+    fn non_monotone_profile_runs_every_candidate() {
+        // A negative crossing weight makes a running cost fall as a dry
+        // run goes on, so a partial cost bounds nothing: no pruning.
+        let negative = CostProfile::new("negative-crossing", 1.0, 1.0, -3.0);
+        assert!(!negative.is_monotone());
+        assert!(!CostProfile::new("nan", f64::NAN, 1.0, 1.0).is_monotone());
+        for stock in [CostProfile::host(), CostProfile::disk(), CostProfile::uniform()] {
+            assert!(stock.is_monotone(), "{}", stock.name);
+        }
+        let s = shape(200, 100, false, 8 * 17);
+        let stats = SelectStats { matches: 100, continuous: false };
+        let (algo, costed) =
+            choose_select_costed(&s, stats, &PlannerConfig::default(), &negative).unwrap();
+        assert!(costed.iter().all(|c| !c.pruned), "{costed:?}");
+        check_against_exhaustive(algo, &costed, &negative, |a| simulate_select(a, &s).unwrap());
+        let j = JoinShape {
+            left_schema: Schema::new(vec![Column::new("k", DataType::Int)]),
+            left_capacity: 24,
+            right_schema: Schema::new(vec![Column::new("k", DataType::Int)]),
+            right_capacity: 40,
+            om_bytes: 128,
+            zero_om_scratch_rows: 1,
+        };
+        let (algo, costed) = choose_join_costed(&j, &negative).unwrap();
+        assert!(costed.iter().all(|c| !c.pruned), "{costed:?}");
+        check_against_exhaustive(algo, &costed, &negative, |a| simulate_join(a, &j).unwrap());
     }
 
     #[test]

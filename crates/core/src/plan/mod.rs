@@ -108,23 +108,33 @@ fn fmt_nanos(nanos: u64) -> String {
     }
 }
 
-/// One costed SELECT candidate the planner considered.
+/// One costed candidate operator the planner considered.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CandidateCost {
+pub struct Candidate<A> {
     /// The candidate operator.
-    pub algo: SelectAlgo,
-    /// Its counted, weighted cost.
+    pub algo: A,
+    /// Its counted, weighted cost: the full dry run's, or, when
+    /// [`pruned`](Candidate::pruned), the counts at the point it stopped.
     pub cost: NodeCost,
+    /// Whether the dry run stopped once its running cost passed the best
+    /// complete candidate's. Its `cost` is then a lower bound on its full
+    /// cost, and already above the winner's.
+    pub pruned: bool,
 }
 
-/// One costed JOIN candidate the planner considered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JoinCandidateCost {
-    /// The candidate operator.
-    pub algo: JoinAlgo,
-    /// Its counted, weighted cost.
-    pub cost: NodeCost,
+impl<A: std::fmt::Debug> std::fmt::Display for Candidate<A> {
+    /// `Hash=1234.5` for a complete dry run, `ZeroOm>62140.0` for a pruned one.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let sign = if self.pruned { '>' } else { '=' };
+        write!(f, "{:?}{sign}{:.1}", self.algo, self.cost.weighted)
+    }
 }
+
+/// One costed SELECT candidate the planner considered.
+pub type CandidateCost = Candidate<SelectAlgo>;
+
+/// One costed JOIN candidate the planner considered.
+pub type JoinCandidateCost = Candidate<JoinAlgo>;
 
 /// How a base table is reached.
 #[derive(Debug, Clone, PartialEq)]
@@ -552,10 +562,7 @@ fn render(node: &PlanNode, depth: usize, out: &mut Vec<String>) {
             let matches = f.est_matches.map(|m| format!(" est_rows={m}")).unwrap_or_default();
             out.push(format!("{pad}-> Filter [{algo}]{matches} om={}B", f.om_bytes));
             if let SelectChoice::Chosen { candidates, .. } = &f.choice {
-                let cells: Vec<String> = candidates
-                    .iter()
-                    .map(|c| format!("{:?}={:.1}", c.algo, c.cost.weighted))
-                    .collect();
+                let cells: Vec<String> = candidates.iter().map(|c| c.to_string()).collect();
                 out.push(format!("{pad}   candidates: {}", cells.join(" ")));
             }
             push_costs(out, &f.est, &f.actual);
@@ -569,10 +576,7 @@ fn render(node: &PlanNode, depth: usize, out: &mut Vec<String>) {
             };
             out.push(format!("{pad}-> Join [{algo}] om={}B", j.om_bytes));
             if let JoinChoice::Chosen { candidates, .. } = &j.choice {
-                let cells: Vec<String> = candidates
-                    .iter()
-                    .map(|c| format!("{:?}={:.1}", c.algo, c.cost.weighted))
-                    .collect();
+                let cells: Vec<String> = candidates.iter().map(|c| c.to_string()).collect();
                 out.push(format!("{pad}   candidates: {}", cells.join(" ")));
             }
             push_costs(out, &j.est, &j.actual);

@@ -263,6 +263,11 @@ pub enum HostError {
         /// Which operation failed.
         op: IoOp,
     },
+    /// A [`CountingMemory`](crate::CountingMemory) dry run passed its
+    /// weighted-cost ceiling (see
+    /// [`CountingMemory::set_ceiling`](crate::CountingMemory::set_ceiling)):
+    /// the candidate is priced out, so this and every later access fails.
+    CostCeiling,
 }
 
 impl HostError {
@@ -292,6 +297,7 @@ impl fmt::Display for HostError {
             HostError::Io { kind, region: None, op } => {
                 write!(f, "backing-store I/O failure during {op}: {kind}")
             }
+            HostError::CostCeiling => f.write_str("dry run passed its weighted-cost ceiling"),
         }
     }
 }

@@ -424,12 +424,57 @@ pub struct CountingMemory {
     trace: Option<Vec<AccessEvent>>,
     stats: HostStats,
     scratch: Vec<u8>,
+    ceiling: Option<Ceiling>,
+}
+
+/// A weighted-cost bound on a dry run (see [`CountingMemory::set_ceiling`]).
+struct Ceiling {
+    limit: f64,
+    weigh: Box<dyn Fn(&HostStats) -> f64 + Send>,
+    exceeded: bool,
 }
 
 impl CountingMemory {
     /// Creates an empty counting memory.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Bounds the rest of a dry run by a weighted cost. After every counted
+    /// call, per-block or batched, the running [`HostStats`] are weighed
+    /// with `weigh`; once that total is strictly greater than `limit`, the
+    /// memory latches. The call that passed the limit and every later
+    /// access then fail with [`HostError::CostCeiling`], and the counters
+    /// keep their values from that call. A planner gives each candidate the
+    /// best complete cost so far as its limit, so a priced-out candidate
+    /// stops at most one call past it. When `weigh` never decreases as a
+    /// counter grows, the latched counts weigh no more than a full run's.
+    pub fn set_ceiling(&mut self, limit: f64, weigh: impl Fn(&HostStats) -> f64 + Send + 'static) {
+        self.ceiling = Some(Ceiling { limit, weigh: Box::new(weigh), exceeded: false });
+    }
+
+    /// Whether the ceiling from [`CountingMemory::set_ceiling`] was passed.
+    pub fn ceiling_exceeded(&self) -> bool {
+        self.ceiling.as_ref().is_some_and(|c| c.exceeded)
+    }
+
+    /// Refuses every access once the ceiling has latched.
+    fn admit(&self) -> Result<(), HostError> {
+        if self.ceiling_exceeded() {
+            return Err(HostError::CostCeiling);
+        }
+        Ok(())
+    }
+
+    /// Weighs the counts so far against the ceiling, latching past it.
+    fn charge(&mut self) -> Result<(), HostError> {
+        if let Some(c) = &mut self.ceiling {
+            if (c.weigh)(&self.stats) > c.limit {
+                c.exceeded = true;
+                return Err(HostError::CostCeiling);
+            }
+        }
+        Ok(())
     }
 
     fn region(&self, region: RegionId) -> Result<&CountingRegion, HostError> {
@@ -454,6 +499,7 @@ impl CountingMemory {
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
         out.clear();
+        self.admit()?;
         let mut crossed = false;
         let CountingMemory { regions, trace, stats, .. } = self;
         let r = regions
@@ -479,7 +525,7 @@ impl CountingMemory {
             stats.reads += 1;
             stats.bytes_read += r.block_size as u64;
         }
-        Ok(())
+        self.charge()
     }
 
     fn write_scatter(
@@ -488,6 +534,7 @@ impl CountingMemory {
         indices: impl Iterator<Item = u64>,
         data: &[u8],
     ) -> Result<(), HostError> {
+        self.admit()?;
         let mut crossed = false;
         let CountingMemory { regions, trace, stats, .. } = self;
         let r = regions
@@ -509,7 +556,7 @@ impl CountingMemory {
             stats.writes += 1;
             stats.bytes_written += chunk.len() as u64;
         }
-        Ok(())
+        self.charge()
     }
 }
 
@@ -547,6 +594,7 @@ impl EnclaveMemory for CountingMemory {
     }
 
     fn read(&mut self, region: RegionId, index: u64) -> Result<&[u8], HostError> {
+        self.admit()?;
         self.record(region, index, AccessKind::Read);
         let r = self
             .regions
@@ -565,12 +613,14 @@ impl EnclaveMemory for CountingMemory {
         self.stats.crossings += 1;
         self.stats.reads += 1;
         self.stats.bytes_read += block_size as u64;
+        self.charge()?;
         // The scratch is only ever zeroed; resize covers changing sizes.
         self.scratch.resize(block_size, 0);
         Ok(&self.scratch[..block_size])
     }
 
     fn write(&mut self, region: RegionId, index: u64, data: &[u8]) -> Result<(), HostError> {
+        self.admit()?;
         self.record(region, index, AccessKind::Write);
         let r = self
             .regions
@@ -591,7 +641,7 @@ impl EnclaveMemory for CountingMemory {
         self.stats.crossings += 1;
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
-        Ok(())
+        self.charge()
     }
 
     fn read_blocks(
@@ -712,6 +762,42 @@ mod tests {
         EnclaveMemory::grow_region(&mut m, r, 10).unwrap();
         assert_eq!(EnclaveMemory::region_len(&m, r).unwrap(), 10);
         m.write(r, 9, &[0u8; 4]).unwrap();
+    }
+
+    #[test]
+    fn ceiling_latches_after_the_call_that_passes_it() {
+        let weigh = |s: &HostStats| (s.reads + s.writes + s.crossings) as f64;
+        // Per-block calls: each costs 2 (one block, one crossing).
+        let mut m = CountingMemory::new();
+        let r = m.alloc_region(8, 4).unwrap();
+        m.set_ceiling(4.0, weigh);
+        m.write(r, 0, &[0u8; 4]).unwrap();
+        m.write(r, 1, &[0u8; 4]).unwrap();
+        assert!(!m.ceiling_exceeded(), "a total equal to the ceiling is not past it");
+        assert_eq!(m.read(r, 0), Err(HostError::CostCeiling));
+        assert!(m.ceiling_exceeded());
+        let at_abort = m.stats();
+        assert_eq!((at_abort.reads, at_abort.writes, at_abort.crossings), (1, 2, 3));
+        // Latched: every later access fails and counts nothing.
+        assert_eq!(m.write(r, 2, &[0u8; 4]), Err(HostError::CostCeiling));
+        assert_eq!(m.read_blocks(r, 0, 2, &mut Vec::new()), Err(HostError::CostCeiling));
+        assert_eq!(m.write_blocks_at(r, &[3], &[0u8; 4]), Err(HostError::CostCeiling));
+        assert_eq!(m.stats(), at_abort);
+
+        // Batched calls are checked too, once per call.
+        let mut m = CountingMemory::new();
+        let r = m.alloc_region(8, 4).unwrap();
+        m.set_ceiling(10.0, weigh);
+        m.write_blocks(r, 0, &[0u8; 32]).unwrap();
+        assert_eq!(m.read_blocks_at(r, &[0, 1], &mut Vec::new()), Err(HostError::CostCeiling));
+        assert_eq!((m.stats().reads, m.stats().crossings), (2, 2));
+        assert!(m.ceiling_exceeded());
+
+        // No ceiling, no latch.
+        let mut m = CountingMemory::new();
+        let r = m.alloc_region(8, 4).unwrap();
+        m.write_blocks(r, 0, &[0u8; 32]).unwrap();
+        assert!(!m.ceiling_exceeded());
     }
 
     #[test]

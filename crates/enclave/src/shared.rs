@@ -203,10 +203,10 @@ impl<M: EnclaveMemory> SessionMemory<M> {
             Err(HostError::OutOfBounds { .. }) | Err(HostError::EmptyBlock(..)) => {
                 successes as usize + 1
             }
-            // Validation errors precede any event; I/O faults surface the
-            // successful prefix (the blocks the adversary saw transfer).
+            // Validation errors precede any event; I/O faults and a cost
+            // ceiling surface the blocks the adversary saw transfer.
             Err(HostError::UnknownRegion(_)) | Err(HostError::BlockSizeMismatch { .. }) => 0,
-            Err(HostError::Io { .. }) => successes as usize,
+            Err(HostError::Io { .. }) | Err(HostError::CostCeiling) => successes as usize,
         };
         if let Some(t) = &mut self.trace {
             t.extend(indices.take(events).map(|index| AccessEvent { region, index, kind }));

@@ -81,6 +81,22 @@ pub fn batch_chunk_blocks(payload_len: usize) -> usize {
     (MAX_BATCH_BYTES / (payload_len + SEAL_OVERHEAD)).clamp(1, MAX_BATCH_BLOCKS)
 }
 
+/// Adds `blocks` AEAD seals of `payload_len`-byte payloads to the
+/// telemetry counters. Called only where the seals are performed, so
+/// payload-free substrates (planner dry runs) count nothing.
+fn count_sealed(blocks: usize, payload_len: usize) {
+    use oblidb_telemetry::{counter_add, Counter};
+    counter_add(Counter::BlocksSealed, blocks as u64);
+    counter_add(Counter::BytesSealed, (blocks * payload_len) as u64);
+}
+
+/// The [`count_sealed`] of AEAD opens.
+fn count_opened(blocks: usize, payload_len: usize) {
+    use oblidb_telemetry::{counter_add, Counter};
+    counter_add(Counter::BlocksOpened, blocks as u64);
+    counter_add(Counter::BytesOpened, (blocks * payload_len) as u64);
+}
+
 /// Errors from the sealed-storage layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageError {
@@ -303,6 +319,7 @@ impl SealedRegion {
             self.scratch.resize(NONCE_LEN + self.payload_len, 0);
             return Ok(&self.scratch[NONCE_LEN..NONCE_LEN + self.payload_len]);
         }
+        count_opened(1, self.payload_len);
         self.scratch.clear();
         self.scratch.extend_from_slice(sealed);
 
@@ -351,6 +368,7 @@ impl SealedRegion {
             host.write(self.region, index, &self.scratch)?;
             return Ok(());
         }
+        count_sealed(1, self.payload_len);
         let nonce = Nonce::from_parts(self.region.0, self.write_counter);
         let mut aad = [0u8; 16];
         aad[..8].copy_from_slice(&index.to_le_bytes());
@@ -449,17 +467,11 @@ impl SealedRegion {
         let sealed_len = payload_len + SEAL_OVERHEAD;
         debug_assert_eq!(self.batch.len(), count * sealed_len);
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::OpenBatch);
-        if oblidb_telemetry::enabled() {
-            oblidb_telemetry::counter_add(oblidb_telemetry::Counter::BlocksOpened, count as u64);
-            oblidb_telemetry::counter_add(
-                oblidb_telemetry::Counter::BytesOpened,
-                (count * payload_len) as u64,
-            );
-            oblidb_telemetry::histogram_record(
-                oblidb_telemetry::HistogramId::OpenBatchBlocks,
-                count as u64,
-            );
-        }
+        count_opened(count, payload_len);
+        oblidb_telemetry::histogram_record(
+            oblidb_telemetry::HistogramId::OpenBatchBlocks,
+            count as u64,
+        );
         let parts = self.partitions(count);
         let (key, region, revisions) = (self.key.clone(), self.region, &self.revisions[..]);
         let scratch =
@@ -577,17 +589,6 @@ impl SealedRegion {
         let payload_len = self.payload_len;
         let sealed_len = payload_len + SEAL_OVERHEAD;
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::SealBatch);
-        if oblidb_telemetry::enabled() {
-            oblidb_telemetry::counter_add(oblidb_telemetry::Counter::BlocksSealed, count as u64);
-            oblidb_telemetry::counter_add(
-                oblidb_telemetry::Counter::BytesSealed,
-                (count * payload_len) as u64,
-            );
-            oblidb_telemetry::histogram_record(
-                oblidb_telemetry::HistogramId::SealBatchBlocks,
-                count as u64,
-            );
-        }
         self.batch.clear();
         self.batch.resize(count * sealed_len, 0);
         if !retains {
@@ -601,6 +602,11 @@ impl SealedRegion {
             }
             return;
         }
+        count_sealed(count, payload_len);
+        oblidb_telemetry::histogram_record(
+            oblidb_telemetry::HistogramId::SealBatchBlocks,
+            count as u64,
+        );
         // Reserve every block's (revision, nonce counter) serially, in
         // batch order — the exact values a per-block loop would assign,
         // kept per-position so duplicate scatter indices stay

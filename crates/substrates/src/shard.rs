@@ -103,6 +103,7 @@ impl<M: EnclaveMemory> ShardedMemory<M> {
             HostError::Io { kind, region: r, op } => {
                 HostError::Io { kind, region: r.map(|_| region), op }
             }
+            HostError::CostCeiling => HostError::CostCeiling,
         }
     }
 

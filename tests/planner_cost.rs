@@ -353,3 +353,43 @@ fn default_plans_and_traces_are_pinned() {
     ];
     assert_eq!(got, expected);
 }
+
+/// Branch and bound does stop early: on a BDB-schema join of 2k × 2k rows
+/// (counts only, no data), the bitonic ZeroOm dry run is stopped within
+/// one batched call of the winner's cost instead of running its
+/// n·log²n compare-exchanges to the end.
+#[test]
+fn priced_out_join_candidates_stop_within_one_batch_of_the_winner() {
+    use oblidb::core::plan::cost::{choose_join_costed, JoinShape};
+    use oblidb::core::JoinAlgo;
+    use oblidb::storage::batch_chunk_blocks;
+
+    let config = DbConfig::default();
+    let shape = JoinShape {
+        left_schema: bdb::rankings_schema(),
+        left_capacity: 2000,
+        right_schema: bdb::uservisits_schema(),
+        right_capacity: 2000,
+        om_bytes: config.om_bytes,
+        zero_om_scratch_rows: config.zero_om_scratch_rows,
+    };
+    let profile = CostProfile::host();
+    let (algo, costed) = choose_join_costed(&shape, &profile).unwrap();
+    let winner = costed.iter().find(|c| c.algo == algo).unwrap();
+    assert!(!winner.pruned);
+    let zero_om = costed.iter().find(|c| c.algo == JoinAlgo::ZeroOm).unwrap();
+    assert_ne!(algo, JoinAlgo::ZeroOm);
+    assert!(zero_om.pruned, "{costed:?}");
+    // The largest batch any one call of this join can move: a chunk of
+    // the narrowest row, priced at the dearer block weight plus a crossing.
+    let narrowest = [shape.left_schema.row_len(), shape.right_schema.row_len()].into_iter().min();
+    let chunk = batch_chunk_blocks(narrowest.unwrap()) as f64;
+    let one_batch = chunk * profile.read_block.max(profile.write_block) + profile.crossing;
+    assert!(zero_om.cost.weighted > winner.cost.weighted);
+    assert!(
+        zero_om.cost.weighted <= winner.cost.weighted + one_batch,
+        "ZeroOm ran {} past the winner's {}",
+        zero_om.cost.weighted - winner.cost.weighted,
+        winner.cost.weighted
+    );
+}

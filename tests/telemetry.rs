@@ -89,6 +89,56 @@ fn telemetry_on_is_trace_and_result_identical() {
     telemetry::reset_metrics();
 }
 
+/// Blocks sealed during one statement, read from the registry.
+fn blocks_sealed_by(db: &mut Database, sql: &str) -> u64 {
+    let sealed = || {
+        telemetry::snapshot()
+            .counters
+            .iter()
+            .find(|(n, _)| n == "blocks_sealed")
+            .map(|(_, v)| *v)
+            .unwrap()
+    };
+    let before = sealed();
+    db.execute(sql).unwrap();
+    sealed() - before
+}
+
+/// The sealing counters count exactly the AEAD seals performed: a flat
+/// INSERT seals its one row block (per-block writes count), and the
+/// planner's dry runs over payload-free memory seal nothing, so a
+/// cost-chosen join seals as many blocks as the same join pinned.
+#[test]
+fn sealing_counters_count_only_real_seals() {
+    let _g = gate();
+    let mut db = seeded_db(DbConfig::default());
+    telemetry::set_enabled(true);
+    telemetry::reset_metrics();
+    let insert = blocks_sealed_by(&mut db, "INSERT INTO t VALUES (1000, 1)");
+
+    const JOIN: &str = "SELECT * FROM d JOIN t ON d.g = t.k";
+    let join_db = |config: DbConfig| {
+        let mut db = seeded_db(config);
+        db.execute("CREATE TABLE d (g INT, label CHAR(8)) CAPACITY 16").unwrap();
+        for g in 0..8 {
+            db.execute(&format!("INSERT INTO d VALUES ({g}, 'g{g}')")).unwrap();
+        }
+        db
+    };
+    let mut chosen_db = join_db(DbConfig::default());
+    let chosen = blocks_sealed_by(&mut chosen_db, JOIN);
+    let algo = chosen_db.execute(JOIN).unwrap().plan.join_algo;
+    let mut config = DbConfig::default();
+    config.planner.force_join = algo;
+    let pinned = blocks_sealed_by(&mut join_db(config), JOIN);
+    telemetry::set_enabled(false);
+    telemetry::reset_metrics();
+
+    assert_eq!(insert, 1, "one flat INSERT seals one block");
+    assert!(algo.is_some());
+    assert_eq!(chosen, pinned, "dry runs must not count as seals ({algo:?})");
+}
+
 /// `EXPLAIN ANALYZE` executes the query and renders measured actuals —
 /// wall time, crossings, and AEAD bytes — for all six select operators.
 #[test]
